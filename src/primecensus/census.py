@@ -5,11 +5,25 @@ subtracting pi(x-1) from a base sieve turns that into the per-x range
 count.  Segments may be sieved concurrently, but results are always
 reduced in ascending order, so the emitted stream does not depend on the
 worker count or the segment length.
+
+The segment kernel is a pure function of (lo, hi, basis) and holds only
+odd values, one slot each.  It marks composites in three steps:
+
+- First hits: one int64 numpy pass over the basis gives every prime's
+  first odd multiple in [max(lo, p*p), hi), as a slot index.
+- Small primes, below T = slots // 32 (65,536 at the default 2**22
+  segment), get one strided store each from that first hit.
+- Large primes hit the segment about 32 times at most.  They are marked
+  4,096 primes at a time by one scatter whose indices are a cumulative
+  sum over np.repeat'ed strides: the numpy form of a bucket sieve
+  (T. Oliveira e Silva, 2001; K. Walisch, primesieve).
+
+T follows the segment length, so no offsets carry across segments and
+the output stays independent of how the range is cut.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -26,11 +40,16 @@ from .errors import (
     DomainError,
     RangeTooLargeError,
 )
+from .pi_oracle import MAX_SQUARE_BASE
 
 DEFAULT_SEGMENT_LEN = 1 << 22  # numbers per segment; half that many odd slots
 DEFAULT_CHECKPOINT_EVERY = 1000
-# isqrt(2**63 - 1): largest base whose square fits in a signed 64-bit integer.
-MAX_SQUARE_BASE = 3_037_000_499
+# Largest base sieve (flags plus int64 prefix, 9 bytes per integer) to
+# attempt: n_max up to about 2.98e7, where the paper needs 449,999.
+BASE_SIEVE_MAX_BYTES = 1 << 28
+# Large primes are scattered this many at a time, so the index arrays of
+# one batch stay near a megabyte.
+_SCATTER_CHUNK = 4096
 
 CENSUS_HEADER = "x,x_squared,prime_count"
 CHECKPOINT_VERSION = "primecensus-checkpoint-v1"
@@ -65,7 +84,16 @@ def encode_census_row(record) -> bytes:
 
 
 def sieve_flags(n: int) -> np.ndarray:
-    """Primality flags for 0..n (plain Eratosthenes, used as the base sieve)."""
+    """Primality flags for 0..n (plain Eratosthenes, used as the base sieve).
+
+    Raises RangeTooLargeError, before allocating anything, when the flags
+    plus the int64 prefix count built from them would exceed
+    BASE_SIEVE_MAX_BYTES.
+    """
+    if 9 * (n + 1) > BASE_SIEVE_MAX_BYTES:
+        raise RangeTooLargeError(
+            f"a base sieve to {n} needs {9 * (n + 1)} bytes, over the {BASE_SIEVE_MAX_BYTES}-byte budget"
+        )
     flags = np.ones(n + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, isqrt(n) + 1):
@@ -74,31 +102,47 @@ def sieve_flags(n: int) -> np.ndarray:
     return flags
 
 
-def _odd_sieve_basis(n_max: int):
-    """Odd base primes <= n_max as a plain list plus their squares."""
-    flags = sieve_flags(n_max)
-    odd = np.flatnonzero(flags)[1:]  # drop 2; odd multiples only in segments
-    return odd.tolist(), (odd.astype(np.int64) ** 2).tolist()
+def _odd_sieve_basis(flags: np.ndarray):
+    """Odd primes flagged in ``flags`` and their squares, as int64 arrays."""
+    primes = np.flatnonzero(flags)[1:].astype(np.int64)  # drop 2; odd multiples only in segments
+    return primes, primes * primes
 
 
-def _sieve_odd_segment(lo: int, hi: int, primes: list, prime_squares: list) -> np.ndarray:
+def _sieve_odd_segment(lo: int, hi: int, primes: np.ndarray, prime_squares: np.ndarray) -> np.ndarray:
     """Primality mask for the odd values lo, lo+2, ..., < hi (lo odd).
 
-    Odd multiples of an odd prime p are 2p apart, i.e. p slots apart in
-    odd-index space, so one strided store per prime marks the segment.
+    Slot j holds lo + 2j, and the odd multiples of an odd prime p are p
+    slots apart.  Primes below T = slots // 32 are marked with one strided
+    store each; the rest hit the segment about 32 times at most and are marked
+    by an index scatter, _SCATTER_CHUNK primes at a time.
     """
-    mask = np.ones((hi - lo) // 2, dtype=bool)
-    cut = bisect.bisect_left(prime_squares, hi)
-    for i in range(cut):
-        p = primes[i]
-        start = prime_squares[i]
-        if start < lo:
-            start = ((lo + p - 1) // p) * p
-            if start % 2 == 0:
-                start += p
-            if start >= hi:
-                continue
-        mask[(start - lo) >> 1 :: p] = False
+    slots = (hi - lo) // 2
+    mask = np.ones(slots, dtype=bool)
+    cut = int(np.searchsorted(prime_squares, hi))  # primes with p*p < hi
+    primes = primes[:cut]
+    # lo + r is the first multiple of p >= lo; adding p makes it odd if it is not.
+    r = (-lo) % primes
+    r += (r & 1) * primes
+    first = np.maximum(r >> 1, (prime_squares[:cut] - lo) >> 1)
+
+    split = int(np.searchsorted(primes, slots // 32))
+    for p, j in zip(primes[:split].tolist(), first[:split].tolist()):
+        mask[j::p] = False
+    for c in range(split, cut, _SCATTER_CHUNK):
+        p = primes[c : c + _SCATTER_CHUNK]
+        j = first[c : c + _SCATTER_CHUNK]
+        hits = (slots - j + p - 1) // p
+        live = hits > 0
+        p, j, hits = p[live], j[live], hits[live]
+        if not hits.size:
+            continue
+        # Running sum over the steps yields every hit: p within a prime's
+        # run, and at each run start the jump from the previous run's last hit.
+        steps = np.repeat(p, hits)
+        starts = np.cumsum(hits[:-1])
+        steps[0] = j[0]
+        steps[starts] = j[1:] - j[:-1] - (hits[:-1] - 1) * p[:-1]
+        mask[np.cumsum(steps)] = False
     return mask
 
 
@@ -121,15 +165,14 @@ def _segment_counts(lo, hi, squares, primes, prime_squares):
 _WORKER_BASIS = None
 
 
-def _init_segment_worker(primes, prime_squares):
+def _init_segment_worker(n_max):
     global _WORKER_BASIS
-    _WORKER_BASIS = (primes, prime_squares)
+    _WORKER_BASIS = _odd_sieve_basis(sieve_flags(n_max))
 
 
 def _segment_job(task):
     lo, hi, squares = task
-    primes, prime_squares = _WORKER_BASIS
-    return _segment_counts(lo, hi, squares, primes, prime_squares)
+    return _segment_counts(lo, hi, squares, *_WORKER_BASIS)
 
 
 def _segment_tasks(cursor: int, limit: int, segment_len: int, start_x: int, n_max: int):
@@ -156,7 +199,7 @@ def count_in_range(x: int) -> int:
         raise RangeTooLargeError(f"x={x}: x**2 exceeds the 64-bit guard")
     if x == 1:
         return 0  # [1, 1] holds no primes
-    primes, prime_squares = _odd_sieve_basis(x)
+    primes, prime_squares = _odd_sieve_basis(sieve_flags(x))
     limit = x * x
     count = 1 if x == 2 else 0  # the prime 2 is in range only for x <= 2
     lo = max(x, 3)
@@ -198,8 +241,7 @@ def census_sweep(
 
     flags = sieve_flags(n_max)
     pi_below = np.cumsum(flags, dtype=np.int64)  # pi_below[v] = pi(v)
-    primes = np.flatnonzero(flags)[1:].tolist()
-    prime_squares = [p * p for p in primes]
+    primes, prime_squares = _odd_sieve_basis(flags)
 
     limit = n_max * n_max
     cursor = 3 if start_x == 2 else (start_x - 1) ** 2 + 1
@@ -214,7 +256,7 @@ def census_sweep(
             pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_segment_worker,
-                initargs=(primes, prime_squares),
+                initargs=(n_max,),
             )
             results = pool.map(_segment_job, tasks)
         for total, boundary_counts in results:

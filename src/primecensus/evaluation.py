@@ -12,7 +12,7 @@ import enum
 import warnings
 from dataclasses import dataclass
 from itertools import islice
-from math import ceil, floor, fsum
+from math import ceil, floor, fsum, ulp
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
@@ -20,8 +20,10 @@ import numpy as np
 from .errors import DomainError
 from .models import DIFFERENCE_LINE, ModelSpec, model_spec, predict, predict_difference
 
-# Relative closeness below which a prediction counts as exact.
-EXACT_REL_TOL = 1e-9
+# A prediction within this many units in the last place of the true count
+# is exact: equal up to float rounding.  A relative tolerance would not do,
+# because at counts near 4e9 it would span neighbouring integers.
+EXACT_ULPS = 4
 
 _CHUNK = 1 << 15
 
@@ -138,7 +140,7 @@ def classify_match(prediction: float, true_count: int) -> MatchClass:
     """Mutually exclusive classes with precedence exact > floor > ceil > none."""
     if true_count <= 0:
         raise DomainError(f"match class undefined for true count {true_count}")
-    if abs(prediction - true_count) < EXACT_REL_TOL * true_count:
+    if abs(prediction - true_count) <= EXACT_ULPS * ulp(true_count):
         return MatchClass.EXACT
     if floor(prediction) == true_count:
         return MatchClass.FLOOR
@@ -153,7 +155,7 @@ def classify_match(prediction: float, true_count: int) -> MatchClass:
 
 
 def _classify_chunk(preds: np.ndarray, trues: np.ndarray) -> list:
-    exact = np.abs(preds - trues) < EXACT_REL_TOL * trues
+    exact = np.abs(preds - trues) <= EXACT_ULPS * np.spacing(trues.astype(np.float64))
     floors = np.floor(preds) == trues
     ceils = np.ceil(preds) == trues
     out = []

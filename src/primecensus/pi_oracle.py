@@ -15,8 +15,8 @@ import numpy as np
 from .errors import RangeTooLargeError
 
 MAX_64BIT = 2**63 - 1
-# isqrt(2**63 - 1): largest x whose square fits in a signed 64-bit integer.
-MAX_SQUARE_BASE = 3_037_000_499
+# Largest x whose square fits in a signed 64-bit integer (3,037,000,499).
+MAX_SQUARE_BASE = isqrt(MAX_64BIT)
 
 
 def _check_width(n: int) -> None:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -8,15 +9,17 @@ from primecensus import (
     CheckpointError,
     CheckpointIntegrityError,
     RangeTooLargeError,
+    census,
     census_sweep,
     count_in_range,
     count_in_range_oracle,
+    prime_pi,
     read_checkpoint,
     resume_sweep,
     run_census,
     write_checkpoint,
 )
-from primecensus.census import SweepCheckpoint
+from primecensus.census import DEFAULT_SEGMENT_LEN, SweepCheckpoint, sieve_flags
 
 # Left column of the published sample table: x -> primes in [x, x**2].
 SMALL_TABLE = {
@@ -63,6 +66,57 @@ def test_sweep_independent_of_segment_len():
     baseline = list(census_sweep(200))
     for segment_len in (1024, 4096, 65536):
         assert list(census_sweep(200, segment_len=segment_len)) == baseline
+    # At 2**14 the scatter threshold (slots // 32 = 256) is far below the
+    # largest base prime (2999); the default length strides every prime.
+    baseline = list(census_sweep(3000))
+    for segment_len in (2048, 1 << 14):
+        assert list(census_sweep(3000, segment_len=segment_len)) == baseline
+
+
+def test_segment_kernel_matches_base_sieve_on_short_segments():
+    """Short segments put the scatter threshold at 16..128, so most of the
+    basis (primes up to 1999, some with no hit at all) is scattered."""
+    limit = 2_000_000
+    flags = sieve_flags(limit)
+    basis = census._odd_sieve_basis(sieve_flags(2000))
+    rng = random.Random(20261018)
+    for i in range(300):
+        segment_len = 2 * rng.randrange(512, 4097)
+        lo = 3 if i == 0 else rng.randrange(3, limit - segment_len) | 1
+        hi = lo + segment_len
+        mask = census._sieve_odd_segment(lo, hi, *basis)
+        assert np.array_equal(mask, flags[lo:hi:2]), (lo, hi)
+
+
+def test_segment_kernel_default_length_at_1e10():
+    """One full-length segment with the full-scale basis, against the oracle."""
+    basis = census._odd_sieve_basis(sieve_flags(449_999))
+    lo = 10**10 + 1
+    hi = lo + DEFAULT_SEGMENT_LEN
+    assert isqrt(hi) < 449_999
+    mask = census._sieve_odd_segment(lo, hi, *basis)
+    assert int(np.count_nonzero(mask)) == prime_pi(hi - 1) - prime_pi(lo - 1)
+
+
+def test_oversized_base_sieve_fails_before_allocating(tmp_path, monkeypatch):
+    """n_max near the 64-bit guard would need about 27 GB of base sieve."""
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the base sieve was allocated")
+
+    monkeypatch.setattr(np, "ones", no_allocation)
+    n = 3_000_000_000
+    with pytest.raises(RangeTooLargeError):
+        sieve_flags(n)
+    with pytest.raises(RangeTooLargeError):
+        next(census_sweep(n))
+    with pytest.raises(RangeTooLargeError):
+        count_in_range(n)
+    with pytest.raises(RangeTooLargeError):
+        run_census(n, tmp_path / "rows.csv", checkpoint_path=tmp_path / "ck")
+    assert not (tmp_path / "rows.csv").exists()
+    with pytest.raises(RangeTooLargeError):
+        sieve_flags(census.BASE_SIEVE_MAX_BYTES // 9)  # the smallest n over budget
 
 
 def test_sweep_independent_of_workers():

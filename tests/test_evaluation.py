@@ -19,6 +19,7 @@ from primecensus import (
     relative_error,
 )
 from primecensus.census import CensusRecord
+from primecensus.evaluation import _classify_chunk
 
 
 def _rec(x, count):
@@ -124,6 +125,31 @@ def test_classify_match_examples():
 def test_classify_match_integer_prediction_prefers_exact():
     # floor and ceil both match an integer prediction; exact takes precedence.
     assert classify_match(7.0, 7) is MatchClass.EXACT
+
+
+def test_classify_match_exact_means_equal_at_full_scale():
+    # A 1e-9 relative tolerance would call anything within about 4 of a 4e9
+    # count exact, pre-empting floor and ceil.
+    true = 4_023_029_104
+    cases = {
+        4_023_029_104.0: MatchClass.EXACT,
+        4_023_029_103.6: MatchClass.CEIL,
+        4_023_029_104.3: MatchClass.FLOOR,
+        4_023_029_101.2: MatchClass.NONE,
+    }
+    for prediction, expected in cases.items():
+        assert classify_match(prediction, true) is expected, prediction
+    preds = np.array(list(cases), dtype=np.float64)
+    assert _classify_chunk(preds, np.full(len(cases), true, dtype=np.int64)) == list(cases.values())
+
+
+def test_classify_chunk_agrees_with_classify_match():
+    rng = np.random.default_rng(7)
+    trues = rng.integers(1, 5 * 10**9, size=2000)
+    offsets = rng.choice([0.0, 1e-7, -1e-7, 0.3, -0.3, 0.99, -0.99, 2.5], size=trues.size)
+    preds = trues.astype(np.float64) + offsets
+    expected = [classify_match(float(p), int(t)) for p, t in zip(preds, trues)]
+    assert _classify_chunk(preds, trues) == expected
 
 
 @given(
