@@ -222,7 +222,9 @@ def census_sweep(
 
     ``start_x > 2`` resumes a sweep mid-way and requires ``cum_pi_start``,
     the value of pi((start_x - 1)**2).  Output is independent of both
-    ``workers`` and ``segment_len``.
+    ``workers`` and ``segment_len``.  The arguments are checked and the
+    base sieve is built when this is called, before the first record is
+    drawn, so a refused range fails before a caller opens its output.
     """
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
@@ -232,14 +234,13 @@ def census_sweep(
         raise ValueError("start_x must be >= 2")
     if start_x > 2 and cum_pi_start is None:
         raise ValueError("resuming mid-sweep requires cum_pi_start = pi((start_x-1)**2)")
-    if start_x > n_max:
-        return
-    workers = max(1, int(workers))
     segment_len = max(1024, int(segment_len))
     if segment_len % 2:
         segment_len += 1
+    return _sweep(n_max, sieve_flags(n_max), max(1, int(workers)), segment_len, start_x, cum_pi_start)
 
-    flags = sieve_flags(n_max)
+
+def _sweep(n_max, flags, workers, segment_len, start_x, cum_pi_start) -> Iterator[CensusRecord]:
     pi_below = np.cumsum(flags, dtype=np.int64)  # pi_below[v] = pi(v)
     primes, prime_squares = _odd_sieve_basis(flags)
 
@@ -325,24 +326,33 @@ def read_checkpoint(path) -> SweepCheckpoint:
     return checkpoint
 
 
-def _hash_existing_rows(census_path, last_completed_x: int):
-    """Re-hash rows x=2..last_completed_x of an existing census file.
+def _validated_resume(checkpoint_path, census_path=None):
+    """Read a checkpoint and check the census rows it covers against its digest.
 
-    Returns (hasher, byte offset just past the last kept row).  Raises
-    CheckpointIntegrityError when rows are missing or out of place.
+    The rows are read from ``census_path``, or from the file recorded in
+    the checkpoint.  Returns (checkpoint, hasher, keep_offset): the SHA-256
+    state over rows x=2..last_completed_x, and the byte offset just past
+    the last of them.  Raises CheckpointIntegrityError when rows are
+    missing, out of place or do not match the digest.
     """
+    checkpoint = read_checkpoint(checkpoint_path)
+    path = census_path or checkpoint.census_path
+    if not path:
+        raise CheckpointError(f"{checkpoint_path}: no census file recorded; pass census_path to validate the digest")
     hasher = hashlib.sha256()
-    with open(census_path, "rb") as fh:
+    with open(path, "rb") as fh:
         header = fh.readline()
         if header.rstrip(b"\r\n").decode("ascii", "replace") != CENSUS_HEADER:
-            raise CheckpointIntegrityError(f"{census_path}: census header missing or wrong")
-        for x in range(2, last_completed_x + 1):
+            raise CheckpointIntegrityError(f"{path}: census header missing or wrong")
+        for x in range(2, checkpoint.last_completed_x + 1):
             line = fh.readline()
             if not line.startswith(f"{x},".encode("ascii")):
-                raise CheckpointIntegrityError(f"{census_path}: row for x={x} missing or out of order")
+                raise CheckpointIntegrityError(f"{path}: row for x={x} missing or out of order")
             hasher.update(line)
-        offset = fh.tell()
-    return hasher, offset
+        keep_offset = fh.tell()
+    if hasher.hexdigest() != checkpoint.digest:
+        raise CheckpointIntegrityError(f"{path}: rows do not match the checkpoint digest; refusing to resume")
+    return checkpoint, hasher, keep_offset
 
 
 def resume_sweep(
@@ -358,13 +368,7 @@ def resume_sweep(
     checkpoint (or ``census_path`` when given) before any work starts.
     A completed sweep yields nothing.
     """
-    checkpoint = read_checkpoint(checkpoint_path)
-    path = census_path or checkpoint.census_path
-    if not path:
-        raise CheckpointError(f"{checkpoint_path}: no census file recorded; pass census_path to validate the digest")
-    hasher, _ = _hash_existing_rows(path, checkpoint.last_completed_x)
-    if hasher.hexdigest() != checkpoint.digest:
-        raise CheckpointIntegrityError(f"{path}: rows do not match the checkpoint digest; refusing to resume")
+    checkpoint, _, _ = _validated_resume(checkpoint_path, census_path)
     return census_sweep(
         checkpoint.n_max,
         workers=workers,
@@ -411,17 +415,12 @@ def run_census(
     if resume:
         if checkpoint_path is None:
             raise CheckpointError("resume requires a checkpoint path")
-        checkpoint = read_checkpoint(checkpoint_path)
+        checkpoint, hasher, keep_offset = _validated_resume(checkpoint_path, out_path)
         if n_max is not None and n_max != checkpoint.n_max:
             raise CheckpointError(
                 f"checkpoint is for n_max={checkpoint.n_max}, not n_max={n_max}"
             )
         n_max = checkpoint.n_max
-        hasher, keep_offset = _hash_existing_rows(out_path, checkpoint.last_completed_x)
-        if hasher.hexdigest() != checkpoint.digest:
-            raise CheckpointIntegrityError(
-                f"{out_path}: rows do not match the checkpoint digest; refusing to resume"
-            )
         with open(out_path, "rb+") as fh:
             fh.truncate(keep_offset)  # drop rows newer than the checkpoint
         start_x = checkpoint.last_completed_x + 1

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation or domain error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import random
 import sys
@@ -63,14 +64,11 @@ def _parse_models(text: str):
 def _specs_for(kinds, constants_path, set_items=()):
     overrides = storage.read_constants(constants_path) if constants_path else {}
     for item in set_items:  # --set flags win over the constants file
-        key, sep, value = item.partition("=")
-        kind, dot, name = key.strip().partition(".")
-        if not sep or not dot or not kind or not name:
-            raise ValueError(f"--set expects MODEL.CONSTANT=VALUE, got {item!r}")
         try:
-            overrides.setdefault(kind, {})[name] = float(value)
-        except ValueError:
-            raise ValueError(f"--set {item!r}: {value!r} is not a number") from None
+            kind, name, value = storage.parse_constant(item)
+        except ValueError as exc:
+            raise ValueError(f"--set {item!r}: {exc}") from None
+        overrides.setdefault(kind, {})[name] = value
     unknown = set(overrides) - set(models.ALL_MODEL_KINDS)
     if unknown:
         raise ValueError(f"constants name unknown models: {sorted(unknown)}")
@@ -90,13 +88,13 @@ def _cmd_census(args) -> int:
     if args.out is None:
         if args.checkpoint is not None:
             raise ValueError("--checkpoint needs --out (stdout cannot be resumed)")
+        sweep = census_mod.census_sweep(args.max_x, workers=args.workers, segment_len=args.segment_len)
         sys.stdout.write(census_mod.CENSUS_HEADER + "\n")
-        for record in census_mod.census_sweep(
-            args.max_x, workers=args.workers, segment_len=args.segment_len
-        ):
-            sys.stdout.write(f"{record.x},{record.x_squared},{record.prime_count}\n")
-            if args.stop_after is not None and record.x >= args.stop_after:
-                break
+        with contextlib.closing(sweep):
+            for record in sweep:
+                sys.stdout.write(census_mod.encode_census_row(record).decode("ascii"))
+                if args.stop_after is not None and record.x >= args.stop_after:
+                    break
         return EXIT_OK
     written = census_mod.run_census(
         args.max_x,
@@ -117,27 +115,35 @@ def _cmd_pi(args) -> int:
     return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
-    kinds = _parse_models(args.models)
-    specs = _specs_for(kinds, args.constants, args.set_constants)
-    out_fh = storage.open_evaluation_csv(args.out) if args.out else None
+def _summaries(args, model_text, out_path=None):
+    """Read the census once and score every requested model on it.
+
+    With ``out_path``, the per-row evaluation CSV of the count models is
+    written there as well.
+    """
+    specs = _specs_for(_parse_models(model_text), args.constants, args.set_constants)
+    records = storage.read_census(args.census)
+    out_fh = storage.open_evaluation_csv(out_path) if out_path else None
     summaries = []
     try:
         for spec in specs:
             if spec.kind == models.DIFFERENCE_LINE:
-                summary = evaluate_difference_model(storage.iter_census(args.census), spec)
-            else:
-                on_row = None
-                if out_fh is not None:
-                    on_row = lambda row, kind=spec.kind: out_fh.write(
-                        storage.evaluation_csv_line(row, kind) + "\n"
-                    )
-                summary = evaluate_model(storage.iter_census(args.census), spec, on_row=on_row)
-            summaries.append(summary)
+                summaries.append(evaluate_difference_model(records, spec))
+                continue
+            on_row = None
+            if out_fh is not None:
+                on_row = lambda row, kind=spec.kind: out_fh.write(
+                    storage.evaluation_csv_line(row, kind) + "\n"
+                )
+            summaries.append(evaluate_model(records, spec, on_row=on_row))
     finally:
         if out_fh is not None:
             out_fh.close()
+    return summaries
 
+
+def _cmd_evaluate(args) -> int:
+    summaries = _summaries(args, args.models, args.out)
     if args.format == "csv":
         print("model,n,average_relative_error,exact,floor,ceil,none")
         for s in summaries:
@@ -162,14 +168,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_matches(args) -> int:
-    kinds = _parse_models(args.model)
-    specs = _specs_for(kinds, args.constants, args.set_constants)
-    summaries = []
-    for spec in specs:
-        if spec.kind == models.DIFFERENCE_LINE:
-            summaries.append(evaluate_difference_model(storage.iter_census(args.census), spec))
-        else:
-            summaries.append(evaluate_model(storage.iter_census(args.census), spec))
+    summaries = _summaries(args, args.model)
     if args.format == "csv":
         print("model,exact,ceil,floor,none,n")
         for s in summaries:
@@ -188,17 +187,18 @@ _FIT_TARGETS = ("ratio", "difference", "power", "hyperbolic")
 def _cmd_fit(args) -> int:
     from .evaluation import difference_series, ratio_series
 
-    records = [
+    # One streaming pass: the census is never held as a list of records.
+    records = (
         r
         for r in storage.iter_census(args.census)
         if (args.x_min is None or r.x >= args.x_min) and (args.x_max is None or r.x <= args.x_max)
-    ]
+    )
     if args.target == "ratio":
-        points = [(p.x, p.value) for p in ratio_series(records)]
+        points = ratio_series(records)
         fit = fitting.fit_log_linear(points)
         constants = {models.CUSTOM_RATIO: {"k_slope": fit.slope, "k_intercept": fit.intercept}}
     elif args.target == "difference":
-        points = [(p.x, p.value) for p in difference_series(records)]
+        points = difference_series(records)
         fit = fitting.fit_line(points)
         constants = {models.DIFFERENCE_LINE: {"slope": fit.slope, "intercept": fit.intercept}}
     elif args.target == "power":

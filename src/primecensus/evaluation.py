@@ -1,9 +1,10 @@
 """Derived series plus relative-error and match statistics for the models.
 
 Three series come off a census: the counts themselves, the ratio
-(x**2 - x) / count, and the difference count(x) - count(x-1).  Model
-evaluation streams rows in chunks and folds them into a summary, so a
-full-scale census never has to sit in memory as row objects.
+(x**2 - x) / count, and the difference count(x) - count(x-1).  Every
+function here loads the census once as int64 columns (x and count) and
+scores a model with whole-array operations; per-row EvaluationRow objects
+are built only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from itertools import islice
 from math import ceil, floor, fsum, ulp
 from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional
 
@@ -25,14 +25,17 @@ from .models import DIFFERENCE_LINE, ModelSpec, model_spec, predict, predict_dif
 # because at counts near 4e9 it would span neighbouring integers.
 EXACT_ULPS = 4
 
-_CHUNK = 1 << 15
-
 
 class MatchClass(enum.Enum):
     EXACT = "exact"
     FLOOR = "floor"
     CEIL = "ceil"
     NONE = "none"
+
+
+# Match classes in precedence order; the vector classifier returns indices
+# into this tuple.
+_MATCH_CLASSES = tuple(MatchClass)
 
 
 class SeriesPoint(NamedTuple):
@@ -63,25 +66,10 @@ class EvaluationSummary:
         return {"exact": self.exact, "floor": self.floor, "ceil": self.ceil, "none": self.none}
 
 
-class _NeumaierSum:
-    """Compensated streaming sum; deterministic for a fixed input order."""
-
-    __slots__ = ("total", "compensation")
-
-    def __init__(self):
-        self.total = 0.0
-        self.compensation = 0.0
-
-    def add(self, value: float) -> None:
-        t = self.total + value
-        if abs(self.total) >= abs(value):
-            self.compensation += (self.total - t) + value
-        else:
-            self.compensation += (value - t) + self.total
-        self.total = t
-
-    def value(self) -> float:
-        return self.total + self.compensation
+def _columns(census: Iterable):
+    """(x, prime_count) of every record as int64 arrays, in census order."""
+    cols = np.fromiter(((r[0], r[2]) for r in census), dtype="i8,i8")
+    return cols["f0"], cols["f1"]
 
 
 # ---------------------------------------------------------------------------
@@ -89,32 +77,36 @@ class _NeumaierSum:
 # ---------------------------------------------------------------------------
 
 
+def _points(xs: np.ndarray, values: np.ndarray) -> List[SeriesPoint]:
+    return [SeriesPoint(x, v) for x, v in zip(xs.tolist(), values.tolist())]
+
+
 def ratio_series(census: Iterable) -> List[SeriesPoint]:
     """(x**2 - x) / prime_count per record; x = 1 is rejected outright."""
-    points = []
-    for x, x_squared, prime_count in census:
-        if x == 1:
-            raise DomainError("x=1 has no primes in [1, 1]; the ratio is undefined there")
-        if prime_count <= 0:
-            warnings.warn(f"skipping x={x}: prime_count={prime_count} makes the ratio undefined")
-            continue
-        points.append(SeriesPoint(x, (x_squared - x) / prime_count))
-    return points
+    xs, counts = _columns(census)
+    if np.any(xs == 1):
+        raise DomainError("x=1 has no primes in [1, 1]; the ratio is undefined there")
+    for i in np.flatnonzero(counts <= 0):
+        warnings.warn(f"skipping x={xs[i]}: prime_count={counts[i]} makes the ratio undefined")
+    keep = counts > 0
+    xs, counts = xs[keep], counts[keep]
+    return _points(xs, (xs * xs - xs) / counts)
+
+
+def _differences(xs: np.ndarray, counts: np.ndarray):
+    """x and count(x) - count(x-1) for every x >= 3 after the first record."""
+    gaps = np.flatnonzero(np.diff(xs) != 1)
+    if gaps.size:
+        i = gaps[0]
+        raise DomainError(f"census has a gap: x jumps {xs[i]} -> {xs[i + 1]}")
+    keep = xs[1:] >= 3
+    return xs[1:][keep], np.diff(counts)[keep]
 
 
 def difference_series(census: Iterable) -> List[SeriesPoint]:
     """count(x) - count(x-1) for adjacent records, emitted for x >= 3."""
-    points = []
-    prev = None
-    for record in census:
-        x, _, prime_count = record
-        if prev is not None:
-            if x != prev[0] + 1:
-                raise DomainError(f"census has a gap: x jumps {prev[0]} -> {x}")
-            if x >= 3:
-                points.append(SeriesPoint(x, float(prime_count - prev[2])))
-        prev = record
-    return points
+    xs, diffs = _differences(*_columns(census))
+    return _points(xs, diffs.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -149,49 +141,68 @@ def classify_match(prediction: float, true_count: int) -> MatchClass:
     return MatchClass.NONE
 
 
+def _classify(preds: np.ndarray, trues: np.ndarray) -> np.ndarray:
+    """classify_match over arrays: each element's index into _MATCH_CLASSES."""
+    trues = trues.astype(np.float64)
+    conditions = [
+        np.abs(preds - trues) <= EXACT_ULPS * np.spacing(trues),
+        np.floor(preds) == trues,
+        np.ceil(preds) == trues,
+    ]
+    return np.select(conditions, [0, 1, 2], default=3)
+
+
 # ---------------------------------------------------------------------------
 # Model evaluation
 # ---------------------------------------------------------------------------
 
 
-def _classify_chunk(preds: np.ndarray, trues: np.ndarray) -> list:
-    exact = np.abs(preds - trues) <= EXACT_ULPS * np.spacing(trues.astype(np.float64))
-    floors = np.floor(preds) == trues
-    ceils = np.ceil(preds) == trues
-    out = []
-    for i in range(len(preds)):
-        if exact[i]:
-            out.append(MatchClass.EXACT)
-        elif floors[i]:
-            out.append(MatchClass.FLOOR)
-        elif ceils[i]:
-            out.append(MatchClass.CEIL)
-        else:
-            out.append(MatchClass.NONE)
-    return out
+def _scores(xs: np.ndarray, preds: np.ndarray, trues: np.ndarray):
+    """Relative errors and match-class indices; every true value must be positive."""
+    bad = np.flatnonzero(trues <= 0)
+    if bad.size:
+        i = bad[0]
+        raise DomainError(f"relative error undefined at x={xs[i]}: true value is {trues[i]}")
+    trues_f = trues.astype(np.float64)
+    return np.abs(preds - trues_f) / trues_f, _classify(preds, trues)
+
+
+def _summarize(spec: ModelSpec, rel: np.ndarray, codes: np.ndarray) -> EvaluationSummary:
+    if not rel.size:
+        raise DomainError("census is empty; nothing to evaluate")
+    exact, floors, ceils, none = np.bincount(codes, minlength=len(_MATCH_CLASSES)).tolist()
+    return EvaluationSummary(
+        kind=spec.kind,
+        constants=dict(spec.constants),
+        n_rows=int(rel.size),
+        average_relative_error=fsum(rel) / rel.size,
+        exact=exact,
+        floor=floors,
+        ceil=ceils,
+        none=none,
+    )
+
+
+def _count_scores(census: Iterable, spec: ModelSpec):
+    """xs, true counts, predictions, relative errors and match codes of a count model."""
+    xs, trues = _columns(census)
+    try:
+        preds = np.asarray(predict(xs, spec), dtype=np.float64)
+    except DomainError as exc:
+        raise DomainError(f"{spec.kind} not applicable on this census: {exc}") from exc
+    return (xs, trues, preds, *_scores(xs, preds, trues))
+
+
+def _rows(xs, trues, preds, rel, codes) -> Iterator[EvaluationRow]:
+    # Element by element: whole-column lists of Python numbers would be
+    # held all at once, next to the census the caller already holds.
+    for x, t, p, r, c in zip(xs, trues, preds, rel, codes):
+        yield EvaluationRow(int(x), int(t), float(p), float(r), _MATCH_CLASSES[c])
 
 
 def evaluation_rows(census: Iterable, spec: ModelSpec) -> Iterator[EvaluationRow]:
-    """Stream one EvaluationRow per census record for the given model."""
-    it = iter(census)
-    while True:
-        block = list(islice(it, _CHUNK))
-        if not block:
-            return
-        xs = np.fromiter((r[0] for r in block), dtype=np.int64, count=len(block))
-        trues = np.fromiter((r[2] for r in block), dtype=np.int64, count=len(block))
-        if np.any(trues <= 0):
-            bad = int(xs[np.argmax(trues <= 0)])
-            raise DomainError(f"relative error undefined at x={bad}: true count <= 0")
-        try:
-            preds = np.asarray(predict(xs, spec), dtype=np.float64)
-        except DomainError as exc:
-            raise DomainError(f"{spec.kind} not applicable on this census: {exc}") from exc
-        trues_f = trues.astype(np.float64)
-        rel = np.abs(preds - trues_f) / trues_f
-        classes = _classify_chunk(preds, trues_f)
-        for i in range(len(block)):
-            yield EvaluationRow(int(xs[i]), int(trues[i]), float(preds[i]), float(rel[i]), classes[i])
+    """One EvaluationRow per census record for the given model."""
+    yield from _rows(*_count_scores(census, spec))
 
 
 def evaluate_model(
@@ -199,54 +210,24 @@ def evaluate_model(
     spec: ModelSpec,
     on_row: Optional[Callable[[EvaluationRow], None]] = None,
 ) -> EvaluationSummary:
-    """Fold a model's evaluation rows into a summary.
+    """Score a count model on a census.
 
-    ``on_row`` sees every row as it streams by (the CLI uses it to write
-    the evaluation CSV without materializing the rows).
+    ``on_row``, when given, sees every EvaluationRow in census order (the
+    CLI uses it to write the evaluation CSV).
     """
-    summary = EvaluationSummary(kind=spec.kind, constants=dict(spec.constants))
-    acc = _NeumaierSum()
-    for row in evaluation_rows(census, spec):
-        if on_row is not None:
+    xs, trues, preds, rel, codes = _count_scores(census, spec)
+    summary = _summarize(spec, rel, codes)
+    if on_row is not None:
+        for row in _rows(xs, trues, preds, rel, codes):
             on_row(row)
-        acc.add(row.relative_error)
-        summary.n_rows += 1
-        if row.match_class is MatchClass.EXACT:
-            summary.exact += 1
-        elif row.match_class is MatchClass.FLOOR:
-            summary.floor += 1
-        elif row.match_class is MatchClass.CEIL:
-            summary.ceil += 1
-        else:
-            summary.none += 1
-    if summary.n_rows == 0:
-        raise DomainError("census is empty; nothing to evaluate")
-    summary.average_relative_error = acc.value() / summary.n_rows
     return summary
 
 
 def evaluate_difference_model(census: Iterable, spec: Optional[ModelSpec] = None) -> EvaluationSummary:
     """Evaluate the difference line against count(x) - count(x-1)."""
     spec = spec or model_spec(DIFFERENCE_LINE)
-    series = difference_series(census)
-    if not series:
+    xs, diffs = _differences(*_columns(census))
+    if not diffs.size:
         raise DomainError("need at least 2 consecutive census rows for the difference series")
-    summary = EvaluationSummary(kind=spec.kind, constants=dict(spec.constants))
-    acc = _NeumaierSum()
-    for x, value in series:
-        if value <= 0:
-            raise DomainError(f"difference at x={x} is {value:g}; relative error undefined")
-        pred = predict_difference(x, spec)
-        acc.add(abs(pred - value) / value)
-        cls = classify_match(pred, int(value))
-        summary.n_rows += 1
-        if cls is MatchClass.EXACT:
-            summary.exact += 1
-        elif cls is MatchClass.FLOOR:
-            summary.floor += 1
-        elif cls is MatchClass.CEIL:
-            summary.ceil += 1
-        else:
-            summary.none += 1
-    summary.average_relative_error = acc.value() / summary.n_rows
-    return summary
+    preds = np.asarray(predict_difference(xs, spec), dtype=np.float64)
+    return _summarize(spec, *_scores(xs, preds, diffs))

@@ -93,6 +93,20 @@ def read_census(path) -> List[CensusRecord]:
 # ---------------------------------------------------------------------------
 
 
+def parse_constant(text: str):
+    """Split one ``model.constant=value`` assignment into (kind, name, value)."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise ValueError(f"expected key=value, got {text!r}")
+    kind, dot, name = key.strip().partition(".")
+    if not dot or not kind or not name:
+        raise ValueError("key must look like model.constant")
+    try:
+        return kind, name, float(value.strip())
+    except ValueError:
+        raise ValueError(f"{value.strip()!r} is not a number") from None
+
+
 def read_constants(path) -> dict:
     """Parse ``model.constant=value`` lines into {kind: {name: value}}."""
     overrides: dict = {}
@@ -101,16 +115,11 @@ def read_constants(path) -> dict:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-            kind, dot, name = key.strip().partition(".")
-            if not dot or not kind or not name:
-                raise ValueError(f"{path}: line {lineno}: key must look like model.constant")
             try:
-                overrides.setdefault(kind, {})[name] = float(value.strip())
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: {value.strip()!r} is not a number") from None
+                kind, name, value = parse_constant(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            overrides.setdefault(kind, {})[name] = value
     return overrides
 
 

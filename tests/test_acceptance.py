@@ -37,7 +37,7 @@ from primecensus.evaluation import evaluation_rows
 from primecensus.models import COUNT_MODEL_KINDS
 from primecensus.plotting import PlotConfig
 
-from conftest import naive_pi_table
+from pi_reference import naive_pi_table
 
 SMALL_TABLE_ROWS = [
     (2, 2), (3, 3), (4, 4), (5, 7), (6, 8), (7, 12), (8, 14), (9, 18), (10, 21),

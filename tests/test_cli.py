@@ -1,6 +1,7 @@
 import pytest
 
 from primecensus.cli import build_parser, format_percent, main
+from primecensus.models import ALL_MODEL_KINDS
 
 
 def run(capsys, *argv):
@@ -58,6 +59,14 @@ def test_census_to_stdout(capsys):
     assert out.splitlines() == ["x,x_squared,prime_count", "2,4,2", "3,9,3", "4,16,4", "5,25,7"]
     code, out, _ = run(capsys, "census", "--max-x", "9", "--stop-after", "4")
     assert out.splitlines()[-1] == "4,16,4"
+
+
+@pytest.mark.parametrize("max_x", ["100000000", "1"])
+def test_refused_census_range_leaves_no_file(tmp_path, capsys, max_x):
+    out = tmp_path / "refused.csv"
+    code, _, err = run(capsys, "census", "--max-x", max_x, "--out", str(out))
+    assert code == 1 and "error" in err
+    assert not out.exists()
 
 
 def test_census_workers_env_default(tmp_path, capsys, monkeypatch):
@@ -147,6 +156,23 @@ def test_matches_layout(tmp_path, capsys):
     assert out.splitlines()[0] == "model,exact,ceil,floor,none,n"
 
 
+def test_matches_and_evaluate_agree_on_tallies(tmp_path, capsys):
+    census = tmp_path / "c.csv"
+    run(capsys, "census", "--max-x", "300", "--out", str(census))
+    every = ",".join(ALL_MODEL_KINDS)
+    code, out, _ = run(capsys, "evaluate", "--census", str(census), "--models", every, "--format", "csv")
+    assert code == 0
+    evaluated = {}
+    for line in out.splitlines()[1:]:
+        kind, n, _, exact, floor, ceil, none = line.split(",")
+        evaluated[kind] = (exact, ceil, floor, none, n)
+    code, out, _ = run(capsys, "matches", "--census", str(census), "--model", every, "--format", "csv")
+    assert code == 0
+    matched = {kind: tuple(rest) for kind, *rest in (line.split(",") for line in out.splitlines()[1:])}
+    assert list(evaluated) == list(ALL_MODEL_KINDS)
+    assert matched == evaluated
+
+
 def test_fit_subcommand_and_constants_roundtrip(tmp_path, capsys):
     census = tmp_path / "c.csv"
     run(capsys, "census", "--max-x", "400", "--out", str(census))
@@ -233,3 +259,8 @@ def test_set_flag_overrides_constants(tmp_path, capsys):
         "--set", "hyperbolic.z_slope",
     )
     assert code == 1 and "--set" in err
+    for bad in ("hyperbolic.z_slope=abc", "nodot=1"):
+        code, _, err = run(
+            capsys, "evaluate", "--census", str(census), "--models", "hyperbolic", "--set", bad,
+        )
+        assert code == 1 and "--set" in err, bad

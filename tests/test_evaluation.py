@@ -19,11 +19,15 @@ from primecensus import (
     relative_error,
 )
 from primecensus.census import CensusRecord
-from primecensus.evaluation import _classify_chunk
+from primecensus.evaluation import _classify
 
 
 def _rec(x, count):
     return CensusRecord(x, x * x, count)
+
+
+def _classes(preds, trues):
+    return [list(MatchClass)[code] for code in _classify(preds, trues)]
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +144,16 @@ def test_classify_match_exact_means_equal_at_full_scale():
     for prediction, expected in cases.items():
         assert classify_match(prediction, true) is expected, prediction
     preds = np.array(list(cases), dtype=np.float64)
-    assert _classify_chunk(preds, np.full(len(cases), true, dtype=np.int64)) == list(cases.values())
+    assert _classes(preds, np.full(len(cases), true, dtype=np.int64)) == list(cases.values())
 
 
-def test_classify_chunk_agrees_with_classify_match():
+def test_vector_classify_agrees_with_classify_match():
     rng = np.random.default_rng(7)
     trues = rng.integers(1, 5 * 10**9, size=2000)
     offsets = rng.choice([0.0, 1e-7, -1e-7, 0.3, -0.3, 0.99, -0.99, 2.5], size=trues.size)
     preds = trues.astype(np.float64) + offsets
     expected = [classify_match(float(p), int(t)) for p, t in zip(preds, trues)]
-    assert _classify_chunk(preds, trues) == expected
+    assert _classes(preds, trues) == expected
 
 
 @given(
@@ -243,6 +247,11 @@ def test_evaluate_difference_model_two_rows():
     expected = relative_error(0.0755 * 3 + 1018.8, 1)
     assert summary.n_rows == 1
     assert summary.average_relative_error == pytest.approx(expected, rel=1e-12)
+
+
+def test_evaluate_difference_model_gap_error():
+    with pytest.raises(DomainError, match="5 -> 7"):
+        evaluate_difference_model([_rec(4, 5), _rec(5, 7), _rec(7, 12)])
 
 
 def test_evaluate_difference_model_needs_two_rows():

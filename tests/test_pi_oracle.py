@@ -4,7 +4,7 @@ import pytest
 from primecensus import RangeTooLargeError, count_in_range_oracle, pi_prefix, prime_pi
 from primecensus.pi_oracle import _legendre_sweep
 
-from conftest import naive_pi_table
+from pi_reference import naive_pi_table
 
 
 def test_small_values():
