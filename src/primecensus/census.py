@@ -61,6 +61,19 @@ class CensusRecord(NamedTuple):
     prime_count: int
 
 
+# A census held in memory: one int64 record array with CensusRecord's fields.
+CENSUS_DTYPE = np.dtype([(name, np.int64) for name in CensusRecord._fields])
+
+
+def census_table(records) -> np.recarray:
+    """Census rows as one int64 record array: an array of CENSUS_DTYPE is
+    viewed as is, any other iterable of (x, x_squared, prime_count) rows
+    is converted."""
+    if not isinstance(records, np.ndarray):
+        records = np.fromiter(records, dtype=CENSUS_DTYPE)
+    return records.view(np.recarray)
+
+
 @dataclass
 class SweepCheckpoint:
     """Resumable state of a census sweep.

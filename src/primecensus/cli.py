@@ -13,10 +13,12 @@ import random
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 
+import numpy as np
+
 from . import census as census_mod
 from . import fitting, models, plotting, storage
-from .errors import CheckpointIntegrityError, PrimeCensusError
-from .evaluation import evaluate_difference_model, evaluate_model
+from .errors import CheckpointIntegrityError, DomainError, PrimeCensusError
+from .evaluation import census_columns, difference_arrays, evaluate_difference_model, evaluate_model, ratio_arrays
 from .pi_oracle import count_in_range_oracle, prime_pi
 
 WORKERS_ENV = "PRIMECENSUS_WORKERS"
@@ -122,20 +124,20 @@ def _summaries(args, model_text, out_path=None):
     written there as well.
     """
     specs = _specs_for(_parse_models(model_text), args.constants, args.set_constants)
-    records = storage.read_census(args.census)
+    table = storage.read_census(args.census)
     out_fh = storage.open_evaluation_csv(out_path) if out_path else None
     summaries = []
     try:
         for spec in specs:
             if spec.kind == models.DIFFERENCE_LINE:
-                summaries.append(evaluate_difference_model(records, spec))
+                summaries.append(evaluate_difference_model(table, spec))
                 continue
             on_row = None
             if out_fh is not None:
                 on_row = lambda row, kind=spec.kind: out_fh.write(
                     storage.evaluation_csv_line(row, kind) + "\n"
                 )
-            summaries.append(evaluate_model(records, spec, on_row=on_row))
+            summaries.append(evaluate_model(table, spec, on_row=on_row))
     finally:
         if out_fh is not None:
             out_fh.close()
@@ -185,29 +187,18 @@ _FIT_TARGETS = ("ratio", "difference", "power", "hyperbolic")
 
 
 def _cmd_fit(args) -> int:
-    from .evaluation import difference_series, ratio_series
-
-    # One streaming pass: the census is never held as a list of records.
-    records = (
-        r
-        for r in storage.iter_census(args.census)
-        if (args.x_min is None or r.x >= args.x_min) and (args.x_max is None or r.x <= args.x_max)
-    )
+    columns = census_columns(storage.read_census(args.census), args.x_min, args.x_max)
     if args.target == "ratio":
-        points = ratio_series(records)
-        fit = fitting.fit_log_linear(points)
+        fit = fitting.fit_log_linear(np.column_stack(ratio_arrays(*columns)))
         constants = {models.CUSTOM_RATIO: {"k_slope": fit.slope, "k_intercept": fit.intercept}}
     elif args.target == "difference":
-        points = difference_series(records)
-        fit = fitting.fit_line(points)
+        fit = fitting.fit_line(np.column_stack(difference_arrays(*columns)))
         constants = {models.DIFFERENCE_LINE: {"slope": fit.slope, "intercept": fit.intercept}}
     elif args.target == "power":
-        points = [(r.x, r.prime_count) for r in records]
-        fit = fitting.fit_power(points)
+        fit = fitting.fit_power(np.column_stack(columns))
         constants = {models.POWER_SERIES: {"a": fitting.power_coefficient(fit), "b": fit.slope}}
     else:  # hyperbolic
-        points = [(r.x, r.prime_count) for r in records]
-        fit = fitting.fit_hyperbolic_z(points)
+        fit = fitting.fit_hyperbolic_z(np.column_stack(columns))
         constants = {models.HYPERBOLIC: {"z_slope": fit.slope, "z_intercept": fit.intercept}}
 
     print(f"target={args.target}")
@@ -227,19 +218,22 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    records = storage.read_census(args.census)
     if args.sample < 1:
         raise ValueError("--sample must be >= 1")
+    table = storage.read_census(args.census)
+    if not len(table):
+        raise DomainError("census is empty; nothing to verify")
     rng = random.Random(args.seed)
-    chosen = rng.sample(records, min(args.sample, len(records)))
+    # Rows are in ascending x, so sorted indices give the rows in x order.
+    chosen = sorted(rng.sample(range(len(table)), min(args.sample, len(table))))
     failures = 0
-    for record in sorted(chosen):
-        expected = count_in_range_oracle(record.x)
-        if expected == record.prime_count:
-            print(f"OK x={record.x} count={record.prime_count}")
+    for x, count in zip(table.x[chosen].tolist(), table.prime_count[chosen].tolist()):
+        expected = count_in_range_oracle(x)
+        if expected == count:
+            print(f"OK x={x} count={count}")
         else:
             failures += 1
-            print(f"MISMATCH x={record.x}: census={record.prime_count}, oracle={expected}")
+            print(f"MISMATCH x={x}: census={count}, oracle={expected}")
     if failures:
         print(f"{failures} of {len(chosen)} sampled rows disagree", file=sys.stderr)
         return EXIT_VALIDATION
@@ -260,8 +254,7 @@ def _cmd_plot(args) -> int:
         log_y=args.log_y,
         title=args.title,
     )
-    records = storage.read_census(args.census)
-    plotting.render_to_file(records, config, args.out, models=specs)
+    plotting.render_to_file(storage.read_census(args.census), config, args.out, models=specs)
     print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK
 

@@ -2,9 +2,9 @@
 
 Three series come off a census: the counts themselves, the ratio
 (x**2 - x) / count, and the difference count(x) - count(x-1).  Every
-function here loads the census once as int64 columns (x and count) and
-scores a model with whole-array operations; per-row EvaluationRow objects
-are built only when a caller asks for them.
+function here reads the int64 x and prime_count columns of a census table
+(any iterable of records is converted to one) and works on whole arrays;
+SeriesPoint lists and EvaluationRow objects are built only on request.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
+from .census import census_table
 from .errors import DomainError
 from .models import DIFFERENCE_LINE, ModelSpec, model_spec, predict, predict_difference
 
@@ -66,10 +67,12 @@ class EvaluationSummary:
         return {"exact": self.exact, "floor": self.floor, "ceil": self.ceil, "none": self.none}
 
 
-def _columns(census: Iterable):
-    """(x, prime_count) of every record as int64 arrays, in census order."""
-    cols = np.fromiter(((r[0], r[2]) for r in census), dtype="i8,i8")
-    return cols["f0"], cols["f1"]
+def census_columns(census: Iterable, x_min: Optional[int] = None, x_max: Optional[int] = None):
+    """The int64 x and prime_count columns of a census, in census order, for
+    the rows with x_min <= x <= x_max (None leaves a side open)."""
+    table = census_table(census)
+    keep = (table.x >= (-np.inf if x_min is None else x_min)) & (table.x <= (np.inf if x_max is None else x_max))
+    return table.x[keep], table.prime_count[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -81,20 +84,24 @@ def _points(xs: np.ndarray, values: np.ndarray) -> List[SeriesPoint]:
     return [SeriesPoint(x, v) for x, v in zip(xs.tolist(), values.tolist())]
 
 
-def ratio_series(census: Iterable) -> List[SeriesPoint]:
-    """(x**2 - x) / prime_count per record; x = 1 is rejected outright."""
-    xs, counts = _columns(census)
+def ratio_arrays(xs: np.ndarray, counts: np.ndarray):
+    """x and (x**2 - x) / count where count > 0; x = 1 is rejected outright."""
     if np.any(xs == 1):
         raise DomainError("x=1 has no primes in [1, 1]; the ratio is undefined there")
     for i in np.flatnonzero(counts <= 0):
         warnings.warn(f"skipping x={xs[i]}: prime_count={counts[i]} makes the ratio undefined")
     keep = counts > 0
     xs, counts = xs[keep], counts[keep]
-    return _points(xs, (xs * xs - xs) / counts)
+    return xs, (xs * xs - xs) / counts
 
 
-def _differences(xs: np.ndarray, counts: np.ndarray):
-    """x and count(x) - count(x-1) for every x >= 3 after the first record."""
+def ratio_series(census: Iterable) -> List[SeriesPoint]:
+    """(x**2 - x) / prime_count per record; x = 1 is rejected outright."""
+    return _points(*ratio_arrays(*census_columns(census)))
+
+
+def difference_arrays(xs: np.ndarray, counts: np.ndarray):
+    """x and count(x) - count(x-1) (int64) for every x >= 3 after the first record."""
     gaps = np.flatnonzero(np.diff(xs) != 1)
     if gaps.size:
         i = gaps[0]
@@ -105,7 +112,7 @@ def _differences(xs: np.ndarray, counts: np.ndarray):
 
 def difference_series(census: Iterable) -> List[SeriesPoint]:
     """count(x) - count(x-1) for adjacent records, emitted for x >= 3."""
-    xs, diffs = _differences(*_columns(census))
+    xs, diffs = difference_arrays(*census_columns(census))
     return _points(xs, diffs.astype(np.float64))
 
 
@@ -185,7 +192,7 @@ def _summarize(spec: ModelSpec, rel: np.ndarray, codes: np.ndarray) -> Evaluatio
 
 def _count_scores(census: Iterable, spec: ModelSpec):
     """xs, true counts, predictions, relative errors and match codes of a count model."""
-    xs, trues = _columns(census)
+    xs, trues = census_columns(census)
     try:
         preds = np.asarray(predict(xs, spec), dtype=np.float64)
     except DomainError as exc:
@@ -226,7 +233,7 @@ def evaluate_model(
 def evaluate_difference_model(census: Iterable, spec: Optional[ModelSpec] = None) -> EvaluationSummary:
     """Evaluate the difference line against count(x) - count(x-1)."""
     spec = spec or model_spec(DIFFERENCE_LINE)
-    xs, diffs = _differences(*_columns(census))
+    xs, diffs = difference_arrays(*census_columns(census))
     if not diffs.size:
         raise DomainError("need at least 2 consecutive census rows for the difference series")
     preds = np.asarray(predict_difference(xs, spec), dtype=np.float64)

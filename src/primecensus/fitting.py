@@ -1,15 +1,19 @@
 """Least-squares recovery of model constants from census data.
 
 All fits are ordinary least squares on transformed coordinates (ln x,
-ln v, arcosh v), which keeps them deterministic and solver-free.  Sums
-use math.fsum so half-million-point regressions stay stable.
+ln v, arcosh v), which keeps them deterministic and solver-free.  Every
+fit takes (x, v) points, as a sequence of pairs or an (n, 2) array, and
+works on float64 arrays; sums use math.fsum so half-million-point
+regressions stay stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import acosh, exp, fsum, log
-from typing import Iterable, Tuple
+from typing import Tuple
+
+import numpy as np
 
 from .errors import DomainError, SingularDesignError
 
@@ -23,70 +27,76 @@ class FitResult:
     domain: Tuple[float, float]  # (x_min, x_max) of the input x values
 
 
-def _ols(ts, vs, xs) -> FitResult:
+def _ols(ts: np.ndarray, vs: np.ndarray, xs: np.ndarray) -> FitResult:
     n = len(ts)
     if n < 2:
         raise SingularDesignError(f"need at least 2 points, got {n}")
-    t_mean = fsum(ts) / n
-    v_mean = fsum(vs) / n
-    sxx = fsum((t - t_mean) ** 2 for t in ts)
+    t_mean = fsum(ts.tolist()) / n
+    v_mean = fsum(vs.tolist()) / n
+    dt, dv = ts - t_mean, vs - v_mean
+    sxx = fsum((dt * dt).tolist())
     if sxx == 0.0:
         raise SingularDesignError("all regressors equal; design is singular")
-    sxy = fsum((t - t_mean) * (v - v_mean) for t, v in zip(ts, vs))
+    sxy = fsum((dt * dv).tolist())
     slope = sxy / sxx
     intercept = v_mean - slope * t_mean
-    ss_res = fsum((v - (slope * t + intercept)) ** 2 for t, v in zip(ts, vs))
-    ss_tot = fsum((v - v_mean) ** 2 for v in vs)
+    res = vs - (slope * ts + intercept)
+    ss_res = fsum((res * res).tolist())
+    ss_tot = fsum((dv * dv).tolist())
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
     return FitResult(
         slope=slope,
         intercept=intercept,
         r_squared=r_squared,
         n_points=n,
-        domain=(min(xs), max(xs)),
+        domain=(float(xs.min()), float(xs.max())),
     )
 
 
-def _split(points: Iterable) -> Tuple[list, list]:
-    xs, vs = [], []
-    for x, v in points:
-        xs.append(float(x))
-        vs.append(float(v))
-    return xs, vs
+def _split(points) -> Tuple[np.ndarray, np.ndarray]:
+    """x and v of (x, v) points, a sequence of pairs or an (n, 2) array, as float64."""
+    pairs = np.asarray(points if isinstance(points, np.ndarray) else list(points), dtype=np.float64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
 
 
-def fit_log_linear(points: Iterable) -> FitResult:
+def _map(f, values: np.ndarray) -> np.ndarray:
+    # The math functions, not np.log/np.arccosh, which differ in the last
+    # bit on some inputs and so would move the fitted constants.
+    return np.fromiter(map(f, values.tolist()), dtype=np.float64, count=len(values))
+
+
+def fit_log_linear(points) -> FitResult:
     """OLS of v on ln(x).  Recovers the ratio-curve pair (k_slope, k_intercept)."""
     xs, vs = _split(points)
-    if any(x < 2 for x in xs):
+    if np.any(xs < 2):
         raise DomainError("log-linear fit needs x >= 2")
-    return _ols([log(x) for x in xs], vs, xs)
+    return _ols(_map(log, xs), vs, xs)
 
 
-def fit_line(points: Iterable) -> FitResult:
+def fit_line(points) -> FitResult:
     """OLS of v on x.  Recovers the difference-line pair (slope, intercept)."""
     xs, vs = _split(points)
     return _ols(xs, vs, xs)
 
 
-def fit_power(points: Iterable) -> FitResult:
+def fit_power(points) -> FitResult:
     """OLS of ln(v) on ln(x): slope is the exponent b, intercept is ln(a)."""
     xs, vs = _split(points)
-    if any(x < 2 for x in xs):
+    if np.any(xs < 2):
         raise DomainError("power fit needs x >= 2")
-    if any(v <= 0 for v in vs):
+    if np.any(vs <= 0):
         raise DomainError("power fit needs positive values")
-    return _ols([log(x) for x in xs], [log(v) for v in vs], xs)
+    return _ols(_map(log, xs), _map(log, vs), xs)
 
 
-def fit_hyperbolic_z(points: Iterable) -> FitResult:
+def fit_hyperbolic_z(points) -> FitResult:
     """OLS of arcosh(count) on ln(x): recovers (z_slope, z_intercept)."""
     xs, vs = _split(points)
-    if any(x < 2 for x in xs):
+    if np.any(xs < 2):
         raise DomainError("hyperbolic fit needs x >= 2")
-    if any(v < 1 for v in vs):
+    if np.any(vs < 1):
         raise DomainError("arcosh undefined for counts below 1")
-    return _ols([log(x) for x in xs], [acosh(v) for v in vs], xs)
+    return _ols(_map(log, xs), _map(acosh, vs), xs)
 
 
 def power_coefficient(fit: FitResult) -> float:

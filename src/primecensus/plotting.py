@@ -16,7 +16,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .errors import DomainError
-from .evaluation import difference_series, ratio_series
+from .evaluation import census_columns, difference_arrays, ratio_arrays
 from .models import ModelSpec, predict
 
 PLOT_KINDS = ("count", "ratio", "difference", "compare")
@@ -106,21 +106,20 @@ def _decimate(xs: np.ndarray, vs: np.ndarray, columns: int) -> Tuple[np.ndarray,
 
 
 def _series_for(census: Sequence, config: PlotConfig, models: Optional[Sequence[ModelSpec]]):
-    records = [r for r in census if (config.x_min is None or r[0] >= config.x_min) and (config.x_max is None or r[0] <= config.x_max)]
-    if not records:
+    columns = census_columns(census, config.x_min, config.x_max)
+    if not columns[0].size:
         raise DomainError("empty selection: no census rows in the requested x range")
-    xs = np.fromiter((r[0] for r in records), dtype=np.float64, count=len(records))
-    counts = np.fromiter((r[2] for r in records), dtype=np.float64, count=len(records))
+    xs, counts = (column.astype(np.float64) for column in columns)
     if config.kind == "count":
         return [("prime count", xs, counts)]
     if config.kind == "ratio":
-        pts = ratio_series(records)
-        return [("ratio", np.array([p.x for p in pts], float), np.array([p.value for p in pts], float))]
+        ratio_xs, ratios = ratio_arrays(*columns)
+        return [("ratio", ratio_xs.astype(np.float64), ratios)]
     if config.kind == "difference":
-        pts = difference_series(records)
-        if not pts:
+        diff_xs, diffs = difference_arrays(*columns)
+        if not diffs.size:
             raise DomainError("difference plot needs at least two consecutive rows")
-        return [("difference", np.array([p.x for p in pts], float), np.array([p.value for p in pts], float))]
+        return [("difference", diff_xs.astype(np.float64), diffs.astype(np.float64))]
     if config.kind == "compare":
         if not models:
             raise DomainError("compare plot needs at least one model")

@@ -1,17 +1,24 @@
 """Validated readers and writers for census, evaluation and constants files.
 
 Census CSV: header ``x,x_squared,prime_count``, ascending consecutive x,
-plain decimal integers, newline-terminated.  Constants file: one
+plain decimal integers (digits with an optional leading ``-``) that fit
+in int64, newline-terminated; blank lines are skipped.  ``read_census``
+returns the whole file as one census table, an int64 record array with
+fields x, x_squared and prime_count.  Constants file: one
 ``model.constant=value`` per line, ``#`` comments allowed.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import re
 from pathlib import Path
-from typing import Iterable, Iterator, List
+from typing import Iterable
 
-from .census import CENSUS_HEADER, CensusRecord, encode_census_row
+import numpy as np
+
+from .census import CENSUS_DTYPE, CENSUS_HEADER, census_table, encode_census_row
 from .errors import (
     CensusGapError,
     CensusHeaderError,
@@ -19,8 +26,13 @@ from .errors import (
     CensusRowError,
     CensusSquareError,
 )
+from .pi_oracle import MAX_SQUARE_BASE
 
 EVALUATION_HEADER = "x,true_count,model,prediction,relative_error,match_class"
+
+# The first line of census text that is neither blank nor three integer fields.
+_MALFORMED_LINE = r"(?m)^(?!(?:-?[0-9]+,-?[0-9]+,-?[0-9]+)?$)"
+_LONG_FIELD = r"-?[0-9]{19,}"  # only these can fall outside int64
 
 
 def format_real(value: float) -> str:
@@ -49,43 +61,65 @@ def write_census(records: Iterable, path) -> int:
     return rows
 
 
-def iter_census(path) -> Iterator[CensusRecord]:
-    """Stream validated records from a census CSV.
+def read_census(path) -> np.recarray:
+    """Read and validate a census CSV into one census table (``census.census_table``).
 
-    Raises a distinct error kind per defect: bad header, malformed row,
+    The first defective line raises a distinct error kind: bad header,
+    malformed row (not three plain int64 fields, or a negative count),
     x_squared != x*x, non-ascending x, or a gap in x.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii") as fh:  # "\r\n" arrives as "\n"
         header = fh.readline().rstrip("\r\n")
         if header != CENSUS_HEADER:
             raise CensusHeaderError(f"expected header {CENSUS_HEADER!r}, got {header!r}", line=1)
-        prev_x = None
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise CensusRowError(f"expected 3 fields, got {len(parts)}", line=lineno)
-            try:
-                x, x_squared, prime_count = (int(part) for part in parts)
-            except ValueError:
-                raise CensusRowError(f"non-integer field in {line!r}", line=lineno) from None
-            if prime_count < 0:
-                raise CensusRowError(f"negative prime_count {prime_count}", line=lineno)
-            if x_squared != x * x:
-                raise CensusSquareError(f"x_squared={x_squared} but x*x={x * x}", line=lineno)
-            if prev_x is not None:
-                if x <= prev_x:
-                    raise CensusOrderError(f"x={x} after x={prev_x} is not ascending", line=lineno)
-                if x != prev_x + 1:
-                    raise CensusGapError(f"x jumps {prev_x} -> {x}", line=lineno)
-            prev_x = x
-            yield CensusRecord(x, x_squared, prime_count)
+        body = fh.read()
+    if body and not body.endswith("\n"):
+        body += "\n"
+    malformed = re.search(_MALFORMED_LINE, body)
+    end = malformed.start() if malformed else len(body)
+    try:
+        table = _parse_rows(body[:end])
+    except ValueError:  # np.loadtxt refuses a field outside int64
+        int64 = np.iinfo(np.int64)
+        huge = (m for m in re.finditer(_LONG_FIELD, body[:end]) if not int64.min <= int(m.group()) <= int64.max)
+        end = body.rfind("\n", 0, next(huge).start()) + 1
+        table = _parse_rows(body[:end])
+    _check_rows(table, body)  # a defect above the malformed line comes first
+    if end < len(body):
+        line = body[end : body.index("\n", end)]
+        raise CensusRowError(f"expected three plain int64 fields, got {line!r}", line=body.count("\n", 0, end) + 2)
+    return table
 
 
-def read_census(path) -> List[CensusRecord]:
-    return list(iter_census(path))
+def _parse_rows(text: str) -> np.recarray:
+    if text.count("\n") == len(text):  # no rows; np.loadtxt would warn
+        return census_table(())
+    lines = io.BytesIO(text.encode("ascii"))
+    return census_table(np.loadtxt(lines, dtype=CENSUS_DTYPE, delimiter=",", comments=None, ndmin=1))
+
+
+def _check_rows(table: np.recarray, body: str) -> None:
+    """Raise for the first row with a negative count, a wrong square or an
+    x that is not one above the row before, checked in that order."""
+    x = table.x
+    # Beyond MAX_SQUARE_BASE an int64 x*x would wrap around.
+    bad = (table.prime_count < 0) | (x > MAX_SQUARE_BASE) | (x < -MAX_SQUARE_BASE) | (table.x_squared != x * x)
+    bad[1:] |= x[1:] != x[:-1] + 1
+    rows = np.flatnonzero(bad)
+    if not rows.size:
+        return
+    i = int(rows[0])
+    x, square, count = table[i].tolist()
+    newlines = np.flatnonzero(np.frombuffer(body.encode("ascii"), dtype=np.uint8) == ord("\n"))
+    line = int(np.flatnonzero(np.diff(newlines, prepend=-1) > 1)[i]) + 2  # blank lines hold no row
+    if count < 0:
+        raise CensusRowError(f"negative prime_count {count}", line=line)
+    if square != x * x:
+        raise CensusSquareError(f"x_squared={square} but x*x={x * x}", line=line)
+    prev = int(table.x[i - 1])
+    if x <= prev:
+        raise CensusOrderError(f"x={x} after x={prev} is not ascending", line=line)
+    raise CensusGapError(f"x jumps {prev} -> {x}", line=line)
 
 
 # ---------------------------------------------------------------------------

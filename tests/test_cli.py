@@ -99,6 +99,21 @@ def test_verify_seed_determinism(tmp_path, capsys):
     assert first == second
 
 
+def test_verify_refuses_empty_census(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("x,x_squared,prime_count\n")
+    code, stdout, err = run(capsys, "verify", "--census", str(empty), "--sample", "5")
+    assert code == 1
+    assert stdout == "" and "census is empty" in err
+
+
+def test_verify_checks_sample_before_reading_the_census(tmp_path, capsys):
+    # A missing file would exit 2 if the census were read first.
+    code, _, err = run(capsys, "verify", "--census", str(tmp_path / "missing.csv"), "--sample", "0")
+    assert code == 1
+    assert "--sample must be >= 1" in err
+
+
 def test_evaluate_text_and_csv(tmp_path, capsys):
     census = tmp_path / "c.csv"
     run(capsys, "census", "--max-x", "200", "--out", str(census))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,3 +111,48 @@ def test_line_fit_is_linear_in_v(scale, shift):
     scaled = fit_line([(x, scale * v) for x, v in base])
     assert scaled.slope == pytest.approx(scale * fit.slope, rel=1e-9, abs=1e-12)
     assert scaled.intercept == pytest.approx(scale * fit.intercept, rel=1e-9, abs=1e-9)
+
+
+def _reference_ols(ts, vs):
+    """The scalar least-squares loop the array fit replaced: (slope, intercept, r_squared)."""
+    n = len(ts)
+    t_mean, v_mean = math.fsum(ts) / n, math.fsum(vs) / n
+    slope = math.fsum((t - t_mean) * (v - v_mean) for t, v in zip(ts, vs)) / math.fsum((t - t_mean) ** 2 for t in ts)
+    intercept = v_mean - slope * t_mean
+    ss_res = math.fsum((v - (slope * t + intercept)) ** 2 for t, v in zip(ts, vs))
+    ss_tot = math.fsum((v - v_mean) ** 2 for v in vs)
+    return slope, intercept, max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=2, max_value=10**6), st.floats(min_value=1.0, max_value=1e9)),
+        min_size=3,
+        max_size=60,
+        unique_by=lambda p: p[0],
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_array_fits_agree_with_the_scalar_loop(points):
+    # Squares are d*d on arrays against d**2 (libm pow) in the loop, which
+    # can differ in the last bit, so agreement is to a relative 1e-9.
+    xs = [float(x) for x, _ in points]
+    vs = [v for _, v in points]
+    logs = [math.log(x) for x in xs]
+    cases = [
+        (fit_log_linear, logs, vs),
+        (fit_line, xs, vs),
+        (fit_power, logs, [math.log(v) for v in vs]),
+        (fit_hyperbolic_z, logs, [math.acosh(v) for v in vs]),
+    ]
+    for fit_fn, ts, us in cases:
+        fit = fit_fn(points)
+        assert fit_fn(np.array(points)) == fit  # an (n, 2) array is the same input
+        if max(us) == min(us):
+            continue  # r_squared is pinned to 1.0 there
+        slope, intercept, r_squared = _reference_ols(ts, us)
+        scale = max(abs(slope), abs(intercept), 1.0)
+        assert fit.slope == pytest.approx(slope, rel=1e-9, abs=1e-9 * scale)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-9, abs=1e-9 * scale)
+        assert fit.r_squared == pytest.approx(r_squared, rel=1e-9, abs=1e-9)
+        assert fit.n_points == len(points) and fit.domain == (min(xs), max(xs))

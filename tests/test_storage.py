@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +10,15 @@ from primecensus import (
     CensusOrderError,
     CensusRowError,
     CensusSquareError,
+    PlotConfig,
     census_sweep,
+    evaluate_difference_model,
+    evaluate_model,
+    model_spec,
+    ratio_series,
     read_census,
     read_constants,
+    render,
     write_census,
     write_constants,
 )
@@ -43,36 +51,98 @@ def test_round_trip_identity(tmp_path):
     path = tmp_path / "rows.csv"
     records = list(census_sweep(1000))
     write_census(records, path)
-    assert read_census(path) == records
+    assert read_census(path).tolist() == records
+
+
+HEADER = "x,x_squared,prime_count\n"
+
+# (file text, error kind, line number of the first defect)
+ERROR_CASES = [
+    ("", CensusHeaderError, 1),
+    ("x,squared,count\n", CensusHeaderError, 1),
+    ("\n" + HEADER, CensusHeaderError, 1),
+    (HEADER + "2,4,2\n3,10,3\n", CensusSquareError, 3),
+    (HEADER + "5,25,7\n7,49,12\n", CensusGapError, 3),
+    (HEADER + "5,25,7\n6,36,8\n7,49,9\n9,81,12\n", CensusGapError, 5),
+    (HEADER + "5,25,7\n4,16,4\n", CensusOrderError, 3),
+    (HEADER + "5,25,7\n5,25,7\n", CensusOrderError, 3),
+    (HEADER + "5,25\n", CensusRowError, 2),
+    (HEADER + "5,25,7\n6,36,7,1\n", CensusRowError, 3),
+    (HEADER + "5,25,abc\n", CensusRowError, 2),
+    (HEADER + "5,25,7\n6,36,+8\n", CensusRowError, 3),  # plain decimal integers only
+    (HEADER + "5,25,7\n6, 36,8\n", CensusRowError, 3),
+    (HEADER + "5,25,7\n6,36,-8\n", CensusRowError, 3),  # negative count
+    # Values outside int64 are malformed rows, not wrapped or saturated.
+    (HEADER + "2,4,12345678901234567890\n", CensusRowError, 2),
+    (HEADER + "2,4,2\n3,9,9223372036854775808\n", CensusRowError, 3),
+    (HEADER + "2,4,2\n-9223372036854775809,9,3\n", CensusRowError, 3),
+    # x above MAX_SQUARE_BASE: an int64 x*x of 2**32 would wrap to 0.
+    (HEADER + "4294967296,0,5\n", CensusSquareError, 2),
+    # The first defective line wins, whatever its kind.
+    (HEADER + "2,4,2\n3,10,3\n4,16,x\n", CensusSquareError, 3),
+    (HEADER + "2,4,2\n3,9,x\n4,17,3\n", CensusRowError, 3),
+    (HEADER + "2,4,2\n4,16,3\n5,25,4,0\n", CensusGapError, 3),
+    # Blank lines hold no row but still count as lines.
+    (HEADER + "2,4,2\n\n3,9,3\n\n\n4,17,2\n", CensusSquareError, 7),
+    (HEADER + "\n2,4,2\n\n4,16,2\n", CensusGapError, 5),
+    (HEADER + "2,4,2\n\n3,9,3,\n", CensusRowError, 4),
+    (HEADER.replace("\n", "\r\n") + "2,4,2\r\n3,9,3\r\n5,25,4\r\n", CensusGapError, 4),  # CRLF
+    (HEADER + "2,4,2\n3,10,3", CensusSquareError, 3),  # no newline after the last row
+    (HEADER + "2,4,2\n3,9,x", CensusRowError, 3),
+]
 
 
 def test_read_census_error_kinds(tmp_path):
     path = tmp_path / "rows.csv"
+    for text, kind, line in ERROR_CASES:
+        path.write_text(text)
+        with pytest.raises(kind) as info:
+            read_census(path)
+        assert info.value.line == line, text
 
-    path.write_text("x,squared,count\n")
-    with pytest.raises(CensusHeaderError):
-        read_census(path)
 
-    path.write_text("x,x_squared,prime_count\n2,4,2\n3,10,3\n")
-    with pytest.raises(CensusSquareError) as info:
-        read_census(path)
-    assert info.value.line == 3
+@pytest.mark.parametrize(
+    "text",
+    [
+        HEADER + "2,4,2\n\n3,9,3\n",  # blank line between rows
+        HEADER.replace("\n", "\r\n") + "2,4,2\r\n3,9,3\r\n",  # CRLF
+        HEADER + "2,4,2\n3,9,3",  # no newline after the last row
+    ],
+)
+def test_read_census_accepted_layouts(tmp_path, text):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(text.encode("ascii"))
+    assert read_census(path).tolist() == [(2, 4, 2), (3, 9, 3)]
 
-    path.write_text("x,x_squared,prime_count\n5,25,7\n7,49,12\n")
-    with pytest.raises(CensusGapError):
-        read_census(path)
 
-    path.write_text("x,x_squared,prime_count\n5,25,7\n4,16,4\n")
-    with pytest.raises(CensusOrderError):
-        read_census(path)
+def test_read_census_int64_extremes(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text(HEADER + "2,4,9223372036854775807\n")
+    assert read_census(path).tolist() == [(2, 4, 2**63 - 1)]
+    path.write_text(HEADER)
+    assert len(read_census(path)) == 0
 
-    path.write_text("x,x_squared,prime_count\n5,25\n")
-    with pytest.raises(CensusRowError):
-        read_census(path)
 
-    path.write_text("x,x_squared,prime_count\n5,25,abc\n")
-    with pytest.raises(CensusRowError):
-        read_census(path)
+def test_read_census_result_serves_every_reader(tmp_path):
+    """The properties the benchmark probes and the full-scale gate use."""
+    path = tmp_path / "rows.csv"
+    records = list(census_sweep(300))
+    write_census(records, path)
+    rows = read_census(path)
+
+    assert len(rows) == len(records) == 299
+    assert (rows[-1].x, rows[-1].x_squared, rows[-1].prime_count) == records[-1]
+    assert rows[0].x == 2 and rows[0].prime_count == records[0].prime_count
+    window = rows[100:150]
+    assert len(window) == 50 and window[0].x == records[100].x
+    assert {r.x: r.prime_count for r in rows[-5:]} == {r.x: r.prime_count for r in records[-5:]}
+
+    spec = model_spec("custom_ratio")
+    assert evaluate_model(rows, spec) == evaluate_model(records, spec)
+    assert evaluate_difference_model(rows) == evaluate_difference_model(records)
+    assert ratio_series(rows) == ratio_series(records)
+    config = PlotConfig(kind="compare")
+    assert render(rows, config, [spec]) == render(records, config, [spec])
 
 
 @given(start=st.integers(min_value=2, max_value=10**6), length=st.integers(min_value=0, max_value=60))
@@ -81,7 +151,7 @@ def test_round_trip_property(tmp_path_factory, start, length):
     path = tmp_path_factory.mktemp("census") / "rows.csv"
     records = [CensusRecord(x, x * x, 7 * x + 1) for x in range(start, start + length)]
     write_census(records, path)
-    assert read_census(path) == records
+    assert read_census(path).tolist() == records
 
 
 def test_format_real_round_trips():
@@ -127,3 +197,62 @@ def test_write_census_failure_leaves_partial_marker(tmp_path, monkeypatch):
         write_census(census_sweep(10), path)
     assert not path.exists()
     assert (tmp_path / "rows.csv.partial").exists()
+
+
+def _reference_read(text):
+    """The per-line reader the array reader replaced, with its field rule
+    narrowed to plain int64 decimals: (error kind, line) or the rows."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[0] != HEADER.rstrip("\n"):
+        return CensusHeaderError, 1
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 3 or not all(re.fullmatch(r"-?[0-9]+", f) and -(2**63) <= int(f) < 2**63 for f in fields):
+            return CensusRowError, lineno
+        x, x_squared, prime_count = map(int, fields)
+        if prime_count < 0:
+            return CensusRowError, lineno
+        if x_squared != x * x:
+            return CensusSquareError, lineno
+        if rows and x <= rows[-1][0]:
+            return CensusOrderError, lineno
+        if rows and x != rows[-1][0] + 1:
+            return CensusGapError, lineno
+        rows.append((x, x_squared, prime_count))
+    return rows
+
+
+_DEFECTS = st.sampled_from(
+    ["", "1,1,1", "5,25", "5,25,7,1", "a,4,2", "+5,25,1", "-3,9,1", "7,49,-2", "6,35,1",
+     "4294967296,0,5", "3037000499,9223372030926249001,3", "99999999999999999999,1,1",
+     "2,4,9223372036854775808", "2,4,9223372036854775807", "-", "2,,4"]
+)
+
+
+@given(
+    start=st.integers(min_value=2, max_value=3 * 10**9),
+    counts=st.lists(st.integers(min_value=0, max_value=10**12), min_size=0, max_size=12),
+    edits=st.lists(st.tuples(st.integers(min_value=0, max_value=14), _DEFECTS), max_size=3),
+    crlf=st.booleans(),
+    final_newline=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_read_census_agrees_with_the_per_line_reference(tmp_path_factory, start, counts, edits, crlf, final_newline):
+    lines = [f"{x},{x * x},{c}" for x, c in enumerate(counts, start=start)]
+    for at, defect in edits:  # insert or overwrite a line
+        if at % 2:
+            lines.insert(min(at // 2, len(lines)), defect)
+        elif lines:
+            lines[at // 2 % len(lines)] = defect
+    text = HEADER + "\n".join(lines) + ("\n" if final_newline and lines else "")
+    path = tmp_path_factory.mktemp("census") / "rows.csv"
+    path.write_bytes(text.replace("\n", "\r\n" if crlf else "\n").encode("ascii"))
+    expected = _reference_read(text)
+    try:
+        got = read_census(path).tolist()
+    except (CensusRowError, CensusSquareError, CensusOrderError, CensusGapError, CensusHeaderError) as exc:
+        got = (type(exc), exc.line)
+    assert got == expected
