@@ -20,10 +20,16 @@ odd values, one slot each.  It marks composites in three steps:
 
 T follows the segment length, so no offsets carry across segments and
 the output stays independent of how the range is cut.
+
+``write_census_file`` is the one writer of census files.  Its crash rule:
+a census under its final name is complete, or a checkpoint on disk covers
+it.  A fresh file stays ``<out>.partial`` until its first checkpoint is on
+disk or it is complete; a resume appends in place, covered by its checkpoint.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -238,7 +244,13 @@ def census_sweep(
     ``workers`` and ``segment_len``.  The arguments are checked and the
     base sieve is built when this is called, before the first record is
     drawn, so a refused range fails before a caller opens its output.
+    Closing the returned generator drops the sweep, which stops its pool.
     """
+    return (record for record, _ in _sweep_pairs(n_max, workers, segment_len, start_x, cum_pi_start))
+
+
+def _sweep_pairs(n_max, workers, segment_len, start_x, cum_pi_start) -> Iterator[tuple[CensusRecord, int]]:
+    """census_sweep's records, each paired with pi(x**2) for checkpoints."""
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
     if n_max > MAX_SQUARE_BASE:
@@ -253,7 +265,7 @@ def census_sweep(
     return _sweep(n_max, sieve_flags(n_max), max(1, int(workers)), segment_len, start_x, cum_pi_start)
 
 
-def _sweep(n_max, flags, workers, segment_len, start_x, cum_pi_start) -> Iterator[CensusRecord]:
+def _sweep(n_max, flags, workers, segment_len, start_x, cum_pi_start):
     pi_below = np.cumsum(flags, dtype=np.int64)  # pi_below[v] = pi(v)
     primes, prime_squares = _odd_sieve_basis(flags)
 
@@ -276,7 +288,7 @@ def _sweep(n_max, flags, workers, segment_len, start_x, cum_pi_start) -> Iterato
         for total, boundary_counts in results:
             for x, upto_square in boundary_counts:
                 pi_x2 = 1 + cum_odd + upto_square
-                yield CensusRecord(x, x * x, pi_x2 - int(pi_below[x - 1]))
+                yield CensusRecord(x, x * x, pi_x2 - int(pi_below[x - 1])), pi_x2
             cum_odd += total
     finally:
         if pool is not None:
@@ -343,10 +355,10 @@ def _validated_resume(checkpoint_path, census_path=None):
     """Read a checkpoint and check the census rows it covers against its digest.
 
     The rows are read from ``census_path``, or from the file recorded in
-    the checkpoint.  Returns (checkpoint, hasher, keep_offset): the SHA-256
-    state over rows x=2..last_completed_x, and the byte offset just past
-    the last of them.  Raises CheckpointIntegrityError when rows are
-    missing, out of place or do not match the digest.
+    the checkpoint.  Returns (checkpoint, (hasher, keep_offset)): the
+    SHA-256 state over rows x=2..last_completed_x, and the byte offset
+    just past the last of them.  Raises CheckpointIntegrityError when rows
+    are missing, out of place or do not match the digest.
     """
     checkpoint = read_checkpoint(checkpoint_path)
     path = census_path or checkpoint.census_path
@@ -365,7 +377,7 @@ def _validated_resume(checkpoint_path, census_path=None):
         keep_offset = fh.tell()
     if hasher.hexdigest() != checkpoint.digest:
         raise CheckpointIntegrityError(f"{path}: rows do not match the checkpoint digest; refusing to resume")
-    return checkpoint, hasher, keep_offset
+    return checkpoint, (hasher, keep_offset)
 
 
 def resume_sweep(
@@ -381,7 +393,7 @@ def resume_sweep(
     checkpoint (or ``census_path`` when given) before any work starts.
     A completed sweep yields nothing.
     """
-    checkpoint, _, _ = _validated_resume(checkpoint_path, census_path)
+    checkpoint, _ = _validated_resume(checkpoint_path, census_path)
     return census_sweep(
         checkpoint.n_max,
         workers=workers,
@@ -392,15 +404,59 @@ def resume_sweep(
 
 
 # ---------------------------------------------------------------------------
-# File-writing orchestration (CSV output + periodic checkpoints)
+# Census files: the one writer (CSV rows + periodic checkpoints)
 # ---------------------------------------------------------------------------
 
 
-def _mark_partial(path) -> None:
-    try:
-        os.replace(path, str(path) + ".partial")
-    except OSError:
-        pass  # the original error is what the caller will see
+def write_census_file(
+    rows,
+    path,
+    *,
+    n_max: Optional[int] = None,
+    checkpoint_path=None,
+    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+    stop_after: Optional[int] = None,
+    resume_from=None,
+) -> int:
+    """Write census rows to ``path`` under the crash rule (module docstring).
+
+    ``rows`` yields (CensusRecord, pi(x**2)) pairs and is closed on every
+    way out; returns the number of rows written.  ``resume_from`` is the
+    (hasher, keep_offset) of a validated checkpoint: the file is cut back
+    to the rows it covers and extended.  With ``checkpoint_path``, a
+    checkpoint is written every ``checkpoint_every`` x, at ``n_max`` and at
+    ``stop_after``, the x after which the file ends early.
+    """
+    path = Path(path)
+    hasher, keep_offset = resume_from or (hashlib.sha256(), None)
+    target = path if resume_from else Path(f"{path}.partial")
+    checkpoint_every = max(1, int(checkpoint_every))
+    written = 0
+    with contextlib.closing(rows), open(target, "ab" if resume_from else "wb") as fh:
+        if resume_from:
+            fh.truncate(keep_offset)  # drop rows newer than the checkpoint
+        else:
+            fh.write((CENSUS_HEADER + "\n").encode("ascii"))
+        for record, pi_square in rows:
+            line = encode_census_row(record)
+            fh.write(line)
+            hasher.update(line)
+            written += 1
+            stopping = stop_after is not None and record.x >= stop_after
+            if checkpoint_path is not None and (record.x % checkpoint_every == 0 or record.x == n_max or stopping):
+                fh.flush()
+                os.fsync(fh.fileno())
+                write_checkpoint(checkpoint_path, SweepCheckpoint(
+                    n_max=n_max, last_completed_x=record.x, cumulative_pi_at_square=pi_square,
+                    segment_cursor=record.x**2 + 1, digest=hasher.hexdigest(), census_path=str(path)))
+                os.replace(target, path)  # the checkpoint covers it now; a no-op once renamed
+                target = path
+            if stopping:
+                break
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(target, path)
+    return written
 
 
 def run_census(
@@ -420,76 +476,22 @@ def run_census(
     ``resume=True`` the existing file is digest-validated, trimmed back to
     the checkpointed row, and extended; the concatenation is byte-identical
     to an uninterrupted run.  ``stop_after`` completes the given x, writes
-    a checkpoint, and returns early (a clean interruption).
+    a checkpoint, and returns early (a clean interruption).  The file is
+    written by ``write_census_file``, under its crash rule.
     """
-    out_path = Path(out_path)
-    checkpoint_every = max(1, int(checkpoint_every))
-
+    start_x, cum_pi_start, resume_from = 2, None, None
     if resume:
         if checkpoint_path is None:
             raise CheckpointError("resume requires a checkpoint path")
-        checkpoint, hasher, keep_offset = _validated_resume(checkpoint_path, out_path)
+        checkpoint, resume_from = _validated_resume(checkpoint_path, out_path)
         if n_max is not None and n_max != checkpoint.n_max:
-            raise CheckpointError(
-                f"checkpoint is for n_max={checkpoint.n_max}, not n_max={n_max}"
-            )
+            raise CheckpointError(f"checkpoint is for n_max={checkpoint.n_max}, not n_max={n_max}")
         n_max = checkpoint.n_max
-        with open(out_path, "rb+") as fh:
-            fh.truncate(keep_offset)  # drop rows newer than the checkpoint
         start_x = checkpoint.last_completed_x + 1
         cum_pi_start = checkpoint.cumulative_pi_at_square
-        mode = "ab"
-    else:
-        if n_max is None:
-            raise ValueError("n_max is required for a fresh sweep")
-        hasher = hashlib.sha256()
-        start_x = 2
-        cum_pi_start = None
-        mode = "wb"
+    elif n_max is None:
+        raise ValueError("n_max is required for a fresh sweep")
 
-    # pi(x - 1) lookups for reconstructing pi(x**2) in checkpoints.
-    pi_below = np.cumsum(sieve_flags(n_max), dtype=np.int64) if checkpoint_path is not None else None
-
-    stream = census_sweep(
-        n_max,
-        workers=workers,
-        segment_len=segment_len,
-        start_x=start_x,
-        cum_pi_start=cum_pi_start,
-    )
-    written = 0
-    try:
-        with open(out_path, mode) as fh:
-            if mode == "wb":
-                fh.write((CENSUS_HEADER + "\n").encode("ascii"))
-            for record in stream:
-                line = encode_census_row(record)
-                fh.write(line)
-                hasher.update(line)
-                written += 1
-                stopping = stop_after is not None and record.x >= stop_after
-                if checkpoint_path is not None and (
-                    record.x % checkpoint_every == 0 or record.x == n_max or stopping
-                ):
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                    write_checkpoint(
-                        checkpoint_path,
-                        SweepCheckpoint(
-                            n_max=n_max,
-                            last_completed_x=record.x,
-                            cumulative_pi_at_square=record.prime_count + int(pi_below[record.x - 1]),
-                            segment_cursor=record.x**2 + 1,
-                            digest=hasher.hexdigest(),
-                            census_path=str(out_path),
-                        ),
-                    )
-                if stopping:
-                    stream.close()
-                    break
-            fh.flush()
-            os.fsync(fh.fileno())
-    except OSError:
-        _mark_partial(out_path)
-        raise
-    return written
+    rows = _sweep_pairs(n_max, workers, segment_len, start_x, cum_pi_start)
+    return write_census_file(rows, out_path, n_max=n_max, checkpoint_path=checkpoint_path,
+                             checkpoint_every=checkpoint_every, stop_after=stop_after, resume_from=resume_from)

@@ -4,21 +4,22 @@ Census CSV: header ``x,x_squared,prime_count``, ascending consecutive x,
 plain decimal integers (digits with an optional leading ``-``) that fit
 in int64, newline-terminated; blank lines are skipped.  ``read_census``
 returns the whole file as one census table, an int64 record array with
-fields x, x_squared and prime_count.  Constants file: one
+fields x, x_squared and prime_count.  ``write_census`` hands a record
+stream to ``census.write_census_file``, the one census writer, so a
+census under its final name is always complete.  Constants file: one
 ``model.constant=value`` per line, ``#`` comments allowed.
 """
 
 from __future__ import annotations
 
 import io
-import os
 import re
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .census import CENSUS_DTYPE, CENSUS_HEADER, census_table, encode_census_row
+from .census import CENSUS_DTYPE, CENSUS_HEADER, census_table, write_census_file
 from .errors import (
     CensusGapError,
     CensusHeaderError,
@@ -43,22 +44,11 @@ def format_real(value: float) -> str:
 def write_census(records: Iterable, path) -> int:
     """Write records to a census CSV; returns the number of rows written.
 
-    Data is first written to ``<path>.partial`` and renamed into place
-    after a successful fsync, so a failed write never leaves a truncated
-    file under the final name.
+    ``census.write_census_file`` writes them to ``<path>.partial`` and
+    renames that into place after a successful fsync, so a failed or
+    interrupted write never leaves a truncated file under the final name.
     """
-    path = Path(path)
-    partial = Path(str(path) + ".partial")
-    rows = 0
-    with open(partial, "wb") as fh:
-        fh.write((CENSUS_HEADER + "\n").encode("ascii"))
-        for record in records:
-            fh.write(encode_census_row(record))
-            rows += 1
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(partial, path)
-    return rows
+    return write_census_file(((record, None) for record in records), path)
 
 
 def read_census(path) -> np.recarray:

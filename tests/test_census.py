@@ -1,4 +1,6 @@
 import hashlib
+import multiprocessing
+import os
 import random
 from math import isqrt
 
@@ -20,6 +22,7 @@ from primecensus import (
     write_checkpoint,
 )
 from primecensus.census import DEFAULT_SEGMENT_LEN, SweepCheckpoint, sieve_flags
+from primecensus.cli import main
 
 # Left column of the published sample table: x -> primes in [x, x**2].
 SMALL_TABLE = {
@@ -273,3 +276,60 @@ def test_run_census_write_failure_marks_partial(tmp_path, monkeypatch):
         run_census(3000, out, checkpoint_path=tmp_path / "ck")
     assert not out.exists()
     assert (tmp_path / "rows.csv.partial").exists()
+
+
+def test_resume_after_write_failure_completes(tmp_path, monkeypatch):
+    """An I/O error after a checkpoint leaves the census under its final
+    name, covered by that checkpoint, so the run resumes from it."""
+    real_fsync = os.fsync
+    calls = [0]
+
+    def fail_after_second_checkpoint(fd):
+        calls[0] += 1  # the census, then the checkpoint, at x = 1000 and 2000
+        if calls[0] > 4:
+            raise OSError("simulated disk failure")
+        return real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fail_after_second_checkpoint)
+    out = tmp_path / "rows.csv"
+    ck = tmp_path / "ck"
+    with pytest.raises(OSError):
+        run_census(3000, out, checkpoint_path=ck, checkpoint_every=1000)
+    assert read_checkpoint(ck).last_completed_x == 2000
+    monkeypatch.setattr(os, "fsync", real_fsync)
+    assert run_census(None, out, checkpoint_path=ck, resume=True) == 1000
+    reference = tmp_path / "ref.csv"
+    run_census(3000, reference)
+    assert out.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("via", ["run_census", "cli"])
+def test_interrupted_run_without_checkpoint_keeps_the_partial_name(tmp_path, monkeypatch, via):
+    """Ctrl-C mid-run: the short census never takes the final name."""
+    encode = census.encode_census_row
+
+    def interrupt_at_1500(record):
+        if record.x == 1500:
+            raise KeyboardInterrupt
+        return encode(record)
+
+    monkeypatch.setattr(census, "encode_census_row", interrupt_at_1500)
+    out = tmp_path / "rows.csv"
+    with pytest.raises(KeyboardInterrupt):
+        if via == "cli":
+            main(["census", "--max-x", "3000", "--out", str(out)])
+        else:
+            run_census(3000, out)
+    assert not out.exists()
+    assert (tmp_path / "rows.csv.partial").exists()
+
+
+def test_failed_run_stops_its_pool(tmp_path, monkeypatch):
+    def boom(fd):
+        raise OSError("simulated disk failure")
+
+    monkeypatch.setattr(os, "fsync", boom)
+    with pytest.raises(OSError) as failure:
+        run_census(3000, tmp_path / "rows.csv", checkpoint_path=tmp_path / "ck", checkpoint_every=1000, workers=2)
+    # ``failure`` still holds the traceback, and with it run_census's frame.
+    assert multiprocessing.active_children() == []

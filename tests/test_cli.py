@@ -1,3 +1,6 @@
+import shlex
+from pathlib import Path
+
 import pytest
 
 from primecensus.cli import build_parser, format_percent, main
@@ -279,3 +282,15 @@ def test_set_flag_overrides_constants(tmp_path, capsys):
             capsys, "evaluate", "--census", str(census), "--models", "hyperbolic", "--set", bad,
         )
         assert code == 1 and "--set" in err, bad
+
+
+def test_readme_cli_examples_parse():
+    """Every command of the README's CLI quick tour parses with today's flags."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## CLI quick tour", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in tour.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv and argv[0] == "primecensus"]
+    assert len(commands) >= 15
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
