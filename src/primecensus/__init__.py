@@ -13,7 +13,6 @@ from .census import (
     census_sweep,
     count_in_range,
     read_checkpoint,
-    resume_sweep,
     run_census,
     write_checkpoint,
 )
@@ -32,18 +31,14 @@ from .errors import (
     SingularDesignError,
 )
 from .evaluation import (
-    EvaluationRow,
     EvaluationSummary,
     MatchClass,
     SeriesPoint,
-    average_relative_error,
     classify_match,
     difference_series,
     evaluate_difference_model,
     evaluate_model,
-    evaluation_rows,
     ratio_series,
-    relative_error,
 )
 from .fitting import FitResult, fit_hyperbolic_z, fit_line, fit_log_linear, fit_power, power_coefficient
 from .models import (

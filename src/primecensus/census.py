@@ -303,7 +303,8 @@ _CHECKPOINT_INT_FIELDS = ("n_max", "last_completed_x", "cumulative_pi_at_square"
 
 
 def write_checkpoint(path, checkpoint: SweepCheckpoint) -> None:
-    """Atomically persist a checkpoint (tmp file + rename)."""
+    """Atomically persist a checkpoint (tmp file + rename); a failed write
+    removes the tmp file."""
     lines = [CHECKPOINT_VERSION]
     lines.append(f"n_max={checkpoint.n_max}")
     lines.append(f"census_path={checkpoint.census_path}")
@@ -312,11 +313,16 @@ def write_checkpoint(path, checkpoint: SweepCheckpoint) -> None:
     lines.append(f"segment_cursor={checkpoint.segment_cursor}")
     lines.append(f"digest={checkpoint.digest}")
     tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path) -> SweepCheckpoint:
@@ -351,19 +357,15 @@ def read_checkpoint(path) -> SweepCheckpoint:
     return checkpoint
 
 
-def _validated_resume(checkpoint_path, census_path=None):
-    """Read a checkpoint and check the census rows it covers against its digest.
+def _validated_resume(checkpoint_path, path):
+    """Read a checkpoint and check the census rows in ``path`` against its digest.
 
-    The rows are read from ``census_path``, or from the file recorded in
-    the checkpoint.  Returns (checkpoint, (hasher, keep_offset)): the
-    SHA-256 state over rows x=2..last_completed_x, and the byte offset
-    just past the last of them.  Raises CheckpointIntegrityError when rows
-    are missing, out of place or do not match the digest.
+    Returns (checkpoint, (hasher, keep_offset)): the SHA-256 state over
+    rows x=2..last_completed_x, and the byte offset just past the last of
+    them.  Raises CheckpointIntegrityError when rows are missing, out of
+    place or do not match the digest.
     """
     checkpoint = read_checkpoint(checkpoint_path)
-    path = census_path or checkpoint.census_path
-    if not path:
-        raise CheckpointError(f"{checkpoint_path}: no census file recorded; pass census_path to validate the digest")
     hasher = hashlib.sha256()
     with open(path, "rb") as fh:
         header = fh.readline()
@@ -378,29 +380,6 @@ def _validated_resume(checkpoint_path, census_path=None):
     if hasher.hexdigest() != checkpoint.digest:
         raise CheckpointIntegrityError(f"{path}: rows do not match the checkpoint digest; refusing to resume")
     return checkpoint, (hasher, keep_offset)
-
-
-def resume_sweep(
-    checkpoint_path,
-    census_path=None,
-    *,
-    workers: int = 1,
-    segment_len: int = DEFAULT_SEGMENT_LEN,
-) -> Iterator[CensusRecord]:
-    """Continue a checkpointed sweep, yielding the records after last_completed_x.
-
-    The digest is validated against the census file recorded in the
-    checkpoint (or ``census_path`` when given) before any work starts.
-    A completed sweep yields nothing.
-    """
-    checkpoint, _ = _validated_resume(checkpoint_path, census_path)
-    return census_sweep(
-        checkpoint.n_max,
-        workers=workers,
-        segment_len=segment_len,
-        start_x=checkpoint.last_completed_x + 1,
-        cum_pi_start=checkpoint.cumulative_pi_at_square,
-    )
 
 
 # ---------------------------------------------------------------------------

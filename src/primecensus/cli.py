@@ -18,7 +18,7 @@ import numpy as np
 from . import census as census_mod
 from . import fitting, models, plotting, storage
 from .errors import CheckpointIntegrityError, DomainError, PrimeCensusError
-from .evaluation import census_columns, difference_arrays, evaluate_difference_model, evaluate_model, ratio_arrays
+from .evaluation import census_columns, difference_arrays, evaluate_difference_model, evaluate_model, ratio_arrays, score
 from .pi_oracle import count_in_range_oracle, prime_pi
 
 WORKERS_ENV = "PRIMECENSUS_WORKERS"
@@ -121,26 +121,17 @@ def _summaries(args, model_text, out_path=None):
     """Read the census once and score every requested model on it.
 
     With ``out_path``, the per-row evaluation CSV of the count models is
-    written there as well.
+    written there as well; each of them is scored a second time for it.
     """
     specs = _specs_for(_parse_models(model_text), args.constants, args.set_constants)
     table = storage.read_census(args.census)
-    out_fh = storage.open_evaluation_csv(out_path) if out_path else None
-    summaries = []
-    try:
-        for spec in specs:
-            if spec.kind == models.DIFFERENCE_LINE:
-                summaries.append(evaluate_difference_model(table, spec))
-                continue
-            on_row = None
-            if out_fh is not None:
-                on_row = lambda row, kind=spec.kind: out_fh.write(
-                    storage.evaluation_csv_line(row, kind) + "\n"
-                )
-            summaries.append(evaluate_model(table, spec, on_row=on_row))
-    finally:
-        if out_fh is not None:
-            out_fh.close()
+    summaries = [
+        evaluate_difference_model(table, spec) if spec.kind == models.DIFFERENCE_LINE else evaluate_model(table, spec)
+        for spec in specs
+    ]
+    if out_path:
+        counted = (spec for spec in specs if spec.kind != models.DIFFERENCE_LINE)
+        storage.write_evaluation_csv(out_path, ((spec.kind, score(table, spec)) for spec in counted))
     return summaries
 
 

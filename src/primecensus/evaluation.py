@@ -3,8 +3,10 @@
 Three series come off a census: the counts themselves, the ratio
 (x**2 - x) / count, and the difference count(x) - count(x-1).  Every
 function here reads the int64 x and prime_count columns of a census table
-(any iterable of records is converted to one) and works on whole arrays;
-SeriesPoint lists and EvaluationRow objects are built only on request.
+(any iterable of records is converted to one) and works on whole arrays.
+``score`` gives a model's per-row scores as one ``Scores`` value of
+arrays; ``evaluate_model`` reduces them to an ``EvaluationSummary``.
+SeriesPoint lists are built only on request.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import enum
 import warnings
 from dataclasses import dataclass
 from math import ceil, floor, fsum, ulp
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,12 +46,18 @@ class SeriesPoint(NamedTuple):
     value: float
 
 
-class EvaluationRow(NamedTuple):
-    x: int
-    true_count: int
-    prediction: float
-    relative_error: float
-    match_class: MatchClass
+class Scores(NamedTuple):
+    """Per-row scores of a model, one array per field, in census order.
+
+    ``relative_error`` is |prediction - true_count| / true_count, as a
+    fraction; ``match`` holds each row's index into MatchClass order.
+    """
+
+    x: np.ndarray
+    true_count: np.ndarray
+    prediction: np.ndarray
+    relative_error: np.ndarray
+    match: np.ndarray
 
 
 @dataclass
@@ -117,22 +125,8 @@ def difference_series(census: Iterable) -> List[SeriesPoint]:
 
 
 # ---------------------------------------------------------------------------
-# Relative error and match classification
+# Match classification
 # ---------------------------------------------------------------------------
-
-
-def relative_error(prediction: float, true_count: int) -> float:
-    """|prediction - true_count| / true_count, as a fraction (not percent)."""
-    if true_count <= 0:
-        raise DomainError(f"relative error undefined for true count {true_count}")
-    return abs(prediction - true_count) / true_count
-
-
-def average_relative_error(rows: Iterable[EvaluationRow]) -> float:
-    errors = [row.relative_error for row in rows]
-    if not errors:
-        raise DomainError("average of an empty evaluation")
-    return fsum(errors) / len(errors)
 
 
 def classify_match(prediction: float, true_count: int) -> MatchClass:
@@ -164,20 +158,21 @@ def _classify(preds: np.ndarray, trues: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _scores(xs: np.ndarray, preds: np.ndarray, trues: np.ndarray):
-    """Relative errors and match-class indices; every true value must be positive."""
+def _scores(xs: np.ndarray, preds: np.ndarray, trues: np.ndarray) -> Scores:
+    """Score predictions against true values; every true value must be positive."""
     bad = np.flatnonzero(trues <= 0)
     if bad.size:
         i = bad[0]
         raise DomainError(f"relative error undefined at x={xs[i]}: true value is {trues[i]}")
     trues_f = trues.astype(np.float64)
-    return np.abs(preds - trues_f) / trues_f, _classify(preds, trues)
+    return Scores(xs, trues, preds, np.abs(preds - trues_f) / trues_f, _classify(preds, trues))
 
 
-def _summarize(spec: ModelSpec, rel: np.ndarray, codes: np.ndarray) -> EvaluationSummary:
+def _summarize(spec: ModelSpec, scores: Scores) -> EvaluationSummary:
+    rel = scores.relative_error
     if not rel.size:
         raise DomainError("census is empty; nothing to evaluate")
-    exact, floors, ceils, none = np.bincount(codes, minlength=len(_MATCH_CLASSES)).tolist()
+    exact, floors, ceils, none = np.bincount(scores.match, minlength=len(_MATCH_CLASSES)).tolist()
     return EvaluationSummary(
         kind=spec.kind,
         constants=dict(spec.constants),
@@ -190,44 +185,19 @@ def _summarize(spec: ModelSpec, rel: np.ndarray, codes: np.ndarray) -> Evaluatio
     )
 
 
-def _count_scores(census: Iterable, spec: ModelSpec):
-    """xs, true counts, predictions, relative errors and match codes of a count model."""
+def score(census: Iterable, spec: ModelSpec) -> Scores:
+    """Score a count model on every census row."""
     xs, trues = census_columns(census)
     try:
         preds = np.asarray(predict(xs, spec), dtype=np.float64)
     except DomainError as exc:
         raise DomainError(f"{spec.kind} not applicable on this census: {exc}") from exc
-    return (xs, trues, preds, *_scores(xs, preds, trues))
+    return _scores(xs, preds, trues)
 
 
-def _rows(xs, trues, preds, rel, codes) -> Iterator[EvaluationRow]:
-    # Element by element: whole-column lists of Python numbers would be
-    # held all at once, next to the census the caller already holds.
-    for x, t, p, r, c in zip(xs, trues, preds, rel, codes):
-        yield EvaluationRow(int(x), int(t), float(p), float(r), _MATCH_CLASSES[c])
-
-
-def evaluation_rows(census: Iterable, spec: ModelSpec) -> Iterator[EvaluationRow]:
-    """One EvaluationRow per census record for the given model."""
-    yield from _rows(*_count_scores(census, spec))
-
-
-def evaluate_model(
-    census: Iterable,
-    spec: ModelSpec,
-    on_row: Optional[Callable[[EvaluationRow], None]] = None,
-) -> EvaluationSummary:
-    """Score a count model on a census.
-
-    ``on_row``, when given, sees every EvaluationRow in census order (the
-    CLI uses it to write the evaluation CSV).
-    """
-    xs, trues, preds, rel, codes = _count_scores(census, spec)
-    summary = _summarize(spec, rel, codes)
-    if on_row is not None:
-        for row in _rows(xs, trues, preds, rel, codes):
-            on_row(row)
-    return summary
+def evaluate_model(census: Iterable, spec: ModelSpec) -> EvaluationSummary:
+    """Average relative error and match tallies of a count model on a census."""
+    return _summarize(spec, score(census, spec))
 
 
 def evaluate_difference_model(census: Iterable, spec: Optional[ModelSpec] = None) -> EvaluationSummary:
@@ -237,4 +207,4 @@ def evaluate_difference_model(census: Iterable, spec: Optional[ModelSpec] = None
     if not diffs.size:
         raise DomainError("need at least 2 consecutive census rows for the difference series")
     preds = np.asarray(predict_difference(xs, spec), dtype=np.float64)
-    return _summarize(spec, *_scores(xs, preds, diffs))
+    return _summarize(spec, _scores(xs, preds, diffs))

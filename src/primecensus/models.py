@@ -35,7 +35,7 @@ DEFAULT_CONSTANTS: Mapping[str, Mapping[str, float]] = MappingProxyType(
     {
         HYPERBOLIC: MappingProxyType({"z_slope": 1.9023, "z_intercept": -1.2634}),
         POWER_SERIES: MappingProxyType({"a": 0.141294556371966, "b": 1.90234115616265}),
-        POLYNOMIAL: MappingProxyType({"a": 0.0376, "b": 1208.1, "c": -3.0e7}),
+        POLYNOMIAL: MappingProxyType({"a": 0.0376, "b": 1.2081, "c": -3.0e7}),
         CONIC: MappingProxyType(
             {
                 "A": 3.11199927582249e-09,

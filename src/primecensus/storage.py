@@ -6,8 +6,11 @@ in int64, newline-terminated; blank lines are skipped.  ``read_census``
 returns the whole file as one census table, an int64 record array with
 fields x, x_squared and prime_count.  ``write_census`` hands a record
 stream to ``census.write_census_file``, the one census writer, so a
-census under its final name is always complete.  Constants file: one
-``model.constant=value`` per line, ``#`` comments allowed.
+census under its final name is always complete.  Evaluation CSV: header
+``EVALUATION_HEADER``, one row per census row and model, written by
+``write_evaluation_csv`` from the ``Scores`` arrays of each model.
+Constants file: one ``model.constant=value`` per line, ``#`` comments
+allowed.
 """
 
 from __future__ import annotations
@@ -27,9 +30,13 @@ from .errors import (
     CensusRowError,
     CensusSquareError,
 )
+from .evaluation import MatchClass
 from .pi_oracle import MAX_SQUARE_BASE
 
 EVALUATION_HEADER = "x,true_count,model,prediction,relative_error,match_class"
+# Evaluation rows are formatted this many at a time: whole-column lists of
+# Python numbers would be held all at once, next to the census table.
+_EVALUATION_BLOCK = 8192
 
 # The first line of census text that is neither blank nor three integer fields.
 _MALFORMED_LINE = r"(?m)^(?!(?:-?[0-9]+,-?[0-9]+,-?[0-9]+)?$)"
@@ -158,25 +165,17 @@ def write_constants(path, constants_by_kind: dict, comment: str | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# Evaluation rows
+# Evaluation CSV
 # ---------------------------------------------------------------------------
 
 
-def evaluation_csv_line(row, kind: str) -> str:
-    return ",".join(
-        (
-            str(row.x),
-            str(row.true_count),
-            kind,
-            format_real(row.prediction),
-            format_real(row.relative_error),
-            row.match_class.value,
-        )
-    )
-
-
-def open_evaluation_csv(path):
-    """Open an evaluation CSV for writing and emit the header."""
-    fh = open(path, "w", encoding="ascii")
-    fh.write(EVALUATION_HEADER + "\n")
-    return fh
+def write_evaluation_csv(path, scored: Iterable) -> None:
+    """Write the header, then one row per score of each (kind, Scores) pair
+    in ``scored``, in order."""
+    labels = [match.value for match in MatchClass]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(EVALUATION_HEADER + "\n")
+        for kind, scores in scored:
+            for start in range(0, len(scores.x), _EVALUATION_BLOCK):
+                block = (column[start : start + _EVALUATION_BLOCK].tolist() for column in scores)
+                fh.writelines(f"{x},{t},{kind},{p!r},{r!r},{labels[c]}\n" for x, t, p, r, c in zip(*block))

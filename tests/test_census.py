@@ -17,7 +17,6 @@ from primecensus import (
     count_in_range_oracle,
     prime_pi,
     read_checkpoint,
-    resume_sweep,
     run_census,
     write_checkpoint,
 )
@@ -202,7 +201,6 @@ def test_resume_completed_sweep_is_empty(tmp_path):
     ck = tmp_path / "ck"
     run_census(100, out, checkpoint_path=ck)
     assert run_census(None, out, checkpoint_path=ck, resume=True) == 0
-    assert list(resume_sweep(ck)) == []
 
 
 def test_resume_with_tampered_digest_raises(tmp_path):
@@ -214,8 +212,6 @@ def test_resume_with_tampered_digest_raises(tmp_path):
     ck.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointIntegrityError):
         run_census(None, out, checkpoint_path=ck, resume=True)
-    with pytest.raises(CheckpointIntegrityError):
-        resume_sweep(ck)
 
 
 def test_resume_with_edited_rows_raises(tmp_path):
@@ -229,21 +225,23 @@ def test_resume_with_edited_rows_raises(tmp_path):
 
 
 def test_resume_missing_files(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        resume_sweep(tmp_path / "absent-ck")
     out = tmp_path / "rows.csv"
     ck = tmp_path / "ck"
+    with pytest.raises(FileNotFoundError):
+        run_census(None, out, checkpoint_path=tmp_path / "absent-ck", resume=True)
     run_census(300, out, checkpoint_path=ck, stop_after=100)
     out.unlink()
     with pytest.raises(FileNotFoundError):
-        resume_sweep(ck)
+        run_census(None, out, checkpoint_path=ck, resume=True)
 
 
 def test_resume_stream_matches_direct_sweep(tmp_path):
     out = tmp_path / "rows.csv"
     ck = tmp_path / "ck"
     run_census(1000, out, checkpoint_path=ck, stop_after=500)
-    tail = list(resume_sweep(ck))
+    checkpoint = read_checkpoint(ck)
+    start_x, cum_pi = checkpoint.last_completed_x + 1, checkpoint.cumulative_pi_at_square
+    tail = list(census_sweep(checkpoint.n_max, start_x=start_x, cum_pi_start=cum_pi))
     assert [r.x for r in tail] == list(range(501, 1001))
     assert tail == list(census_sweep(1000))[499:]
 
@@ -265,7 +263,7 @@ def test_run_census_write_failure_marks_partial(tmp_path, monkeypatch):
     calls = {"n": 0}
 
     def flaky(fd):
-        calls["n"] += 1
+        calls["n"] += 1  # the census, then the checkpoint at x = 1000
         if calls["n"] >= 2:
             raise OSError("simulated disk failure")
         return real_fsync(fd)
@@ -276,6 +274,8 @@ def test_run_census_write_failure_marks_partial(tmp_path, monkeypatch):
         run_census(3000, out, checkpoint_path=tmp_path / "ck")
     assert not out.exists()
     assert (tmp_path / "rows.csv.partial").exists()
+    assert not (tmp_path / "ck").exists()
+    assert not (tmp_path / "ck.tmp").exists()
 
 
 def test_resume_after_write_failure_completes(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import shlex
 from pathlib import Path
 
@@ -138,6 +139,20 @@ def test_evaluate_text_and_csv(tmp_path, capsys):
     eval_lines = rows_csv.read_text().splitlines()
     assert eval_lines[0] == "x,true_count,model,prediction,relative_error,match_class"
     assert len(eval_lines) == 1 + 2 * 199  # one block per model
+
+
+def test_evaluate_out_bytes_are_pinned(tmp_path, capsys):
+    """The evaluation CSV of the six count models on the 2..10,000 census:
+    59,995 lines, each model's 9,999 rows crossing a formatting block edge."""
+    census = tmp_path / "c.csv"
+    run(capsys, "census", "--max-x", "10000", "--out", str(census))
+    rows_csv = tmp_path / "rows.csv"
+    code, _, _ = run(
+        capsys, "evaluate", "--census", str(census), "--models", "all", "--format", "csv", "--out", str(rows_csv),
+    )
+    assert code == 0
+    digest = hashlib.sha256(rows_csv.read_bytes()).hexdigest()
+    assert digest == "583e7f10cd7683d29bfa9e1706a00f1236e9ad79572b262d191261afa9107bb9"
 
 
 def test_evaluate_with_constants_override(tmp_path, capsys):

@@ -7,19 +7,20 @@ from hypothesis import strategies as st
 
 from primecensus import (
     DomainError,
-    EvaluationRow,
     MatchClass,
-    average_relative_error,
     classify_match,
     difference_series,
     evaluate_difference_model,
     evaluate_model,
     model_spec,
     ratio_series,
-    relative_error,
 )
 from primecensus.census import CensusRecord
-from primecensus.evaluation import _classify
+from primecensus.evaluation import _classify, score
+
+# a * x**b with a = b = 1 predicts x itself, so a row (x, count) scores
+# a relative error of |x - count| / count.
+IDENTITY = model_spec("power_series", a=1.0, b=1.0)
 
 
 def _rec(x, count):
@@ -91,31 +92,31 @@ def test_ratio_series_strictly_increasing_at_desk_scale(census_10k):
 
 
 def test_relative_error_examples():
-    assert relative_error(21, 21) == 0.0
-    assert relative_error(870497682.6, 865334106) == pytest.approx(0.0059671, abs=1e-7)
-    assert relative_error(17.09507761, 865334106) == pytest.approx(0.99999998, abs=1e-8)
-    with pytest.raises(DomainError):
-        relative_error(1.0, 0)
+    assert evaluate_model([_rec(21, 21)], IDENTITY).average_relative_error == 0.0
+    row = [_rec(140001, 865334106)]
+    hyperbolic = evaluate_model(row, model_spec("hyperbolic"))  # predicts 870,497,682.57
+    assert hyperbolic.average_relative_error == pytest.approx(0.0059671, abs=1e-7)
+    bertrand = evaluate_model(row, model_spec("bertrand"))  # predicts 17.09507761
+    assert bertrand.average_relative_error == pytest.approx(0.99999998, abs=1e-8)
+    with pytest.raises(DomainError, match="x=2: true value is 0"):
+        evaluate_model([_rec(2, 0)], IDENTITY)
 
 
 def test_average_relative_error():
-    rows = [
-        EvaluationRow(2, 2, 2.0, 0.01, MatchClass.NONE),
-        EvaluationRow(3, 3, 3.0, 0.03, MatchClass.NONE),
-    ]
-    assert average_relative_error(rows) == pytest.approx(0.02, rel=1e-15)
-    zero = [EvaluationRow(2, 2, 2.0, 0.0, MatchClass.EXACT)] * 3
-    assert average_relative_error(zero) == 0.0
-    with pytest.raises(DomainError):
-        average_relative_error([])
+    summary = evaluate_model([_rec(101, 100), _rec(103, 100)], IDENTITY)  # errors 0.01 and 0.03
+    assert summary.average_relative_error == pytest.approx(0.02, rel=1e-15)
+    assert evaluate_model([_rec(2, 2)] * 3, IDENTITY).average_relative_error == 0.0
+    with pytest.raises(DomainError, match="empty"):
+        evaluate_model([], IDENTITY)
 
 
 def test_average_is_additive_over_concatenation():
     # Dyadic errors keep the arithmetic exact.
-    a = [EvaluationRow(2, 2, 0.0, 0.25, MatchClass.NONE)] * 4
-    b = [EvaluationRow(3, 3, 0.0, 0.75, MatchClass.NONE)] * 12
-    combined = average_relative_error(a + b)
-    weighted = (4 * average_relative_error(a) + 12 * average_relative_error(b)) / 16
+    a = [_rec(5, 4)] * 4  # error 0.25
+    b = [_rec(7, 4)] * 12  # error 0.75
+    combined = evaluate_model(a + b, IDENTITY).average_relative_error
+    weighted = (4 * evaluate_model(a, IDENTITY).average_relative_error
+                + 12 * evaluate_model(b, IDENTITY).average_relative_error) / 16
     assert combined == weighted
 
 
@@ -186,7 +187,7 @@ def test_bertrand_errors_on_small_census(census_1347):
     """
     summary = evaluate_model(census_1347[:21], model_spec("bertrand"))
     errors = {
-        x: relative_error(math.log2(x), count)
+        x: abs(math.log2(x) - count) / count
         for x, _, count in census_1347[:21]
     }
     assert min(errors.values()) == pytest.approx(0.4716791664262813, rel=1e-12)  # x=3
@@ -210,12 +211,10 @@ def test_custom_ratio_floor_match_at_731(census_1347):
 
 def test_golden_error_band_at_140k(reference_140k_rows):
     """Every model except bertrand and polynomial stays within 0.61% here."""
-    from primecensus.evaluation import evaluation_rows
-
     for kind in ("hyperbolic", "power_series", "conic", "custom_ratio"):
         summary = evaluate_model(reference_140k_rows, model_spec(kind))
         assert summary.average_relative_error <= 0.0061, kind
-        worst = max(r.relative_error for r in evaluation_rows(reference_140k_rows, model_spec(kind)))
+        worst = score(reference_140k_rows, model_spec(kind)).relative_error.max()
         assert worst <= 0.0061, kind
 
 
@@ -224,11 +223,12 @@ def test_evaluate_model_propagates_domain_error_with_x():
         evaluate_model([CensusRecord(1, 1, 1)], model_spec("custom_ratio"))
 
 
-def test_evaluate_model_streams_rows_to_sink(census_1347):
-    seen = []
-    summary = evaluate_model(census_1347[:50], model_spec("power_series"), on_row=seen.append)
-    assert len(seen) == summary.n_rows == 50
-    assert seen[0].x == 2
+def test_score_keeps_census_length_and_order(census_1347):
+    scores = score(census_1347[:50], model_spec("power_series"))
+    summary = evaluate_model(census_1347[:50], model_spec("power_series"))
+    assert [len(column) for column in scores] == [summary.n_rows] * 5 == [50] * 5
+    assert scores.x.tolist() == list(range(2, 52))
+    assert scores.true_count.tolist() == [r.prime_count for r in census_1347[:50]]
 
 
 def test_evaluate_difference_model_exact_line():
@@ -244,7 +244,7 @@ def test_evaluate_difference_model_exact_line():
 
 def test_evaluate_difference_model_two_rows():
     summary = evaluate_difference_model([_rec(2, 2), _rec(3, 3)])
-    expected = relative_error(0.0755 * 3 + 1018.8, 1)
+    expected = abs(0.0755 * 3 + 1018.8 - 1) / 1
     assert summary.n_rows == 1
     assert summary.average_relative_error == pytest.approx(expected, rel=1e-12)
 
