@@ -55,13 +55,6 @@ from .models import (
     ModelSpec,
     model_spec,
     predict,
-    predict_bertrand,
-    predict_conic,
-    predict_custom_ratio,
-    predict_difference,
-    predict_hyperbolic,
-    predict_polynomial,
-    predict_power,
 )
 from .pi_oracle import count_in_range_oracle, pi_prefix, prime_pi
 from .plotting import PlotConfig, render, render_to_file

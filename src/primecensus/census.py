@@ -49,7 +49,7 @@ from .errors import (
 from .pi_oracle import MAX_SQUARE_BASE
 
 DEFAULT_SEGMENT_LEN = 1 << 22  # numbers per segment; half that many odd slots
-DEFAULT_CHECKPOINT_EVERY = 1000
+CHECKPOINT_EVERY = 1000  # x values between the checkpoints of a census file
 # Largest base sieve (flags plus int64 prefix, 9 bytes per integer) to
 # attempt: n_max up to about 2.98e7, where the paper needs 449,999.
 BASE_SIEVE_MAX_BYTES = 1 << 28
@@ -94,7 +94,6 @@ class SweepCheckpoint:
     cumulative_pi_at_square: int
     segment_cursor: int
     digest: str
-    census_path: str = ""
 
 
 def encode_census_row(record) -> bytes:
@@ -259,9 +258,8 @@ def _sweep_pairs(n_max, workers, segment_len, start_x, cum_pi_start) -> Iterator
         raise ValueError("start_x must be >= 2")
     if start_x > 2 and cum_pi_start is None:
         raise ValueError("resuming mid-sweep requires cum_pi_start = pi((start_x-1)**2)")
-    segment_len = max(1024, int(segment_len))
-    if segment_len % 2:
-        segment_len += 1
+    if segment_len < 1:
+        raise ValueError("segment_len must be >= 1")
     return _sweep(n_max, sieve_flags(n_max), max(1, int(workers)), segment_len, start_x, cum_pi_start)
 
 
@@ -307,7 +305,6 @@ def write_checkpoint(path, checkpoint: SweepCheckpoint) -> None:
     removes the tmp file."""
     lines = [CHECKPOINT_VERSION]
     lines.append(f"n_max={checkpoint.n_max}")
-    lines.append(f"census_path={checkpoint.census_path}")
     lines.append(f"last_completed_x={checkpoint.last_completed_x}")
     lines.append(f"cumulative_pi_at_square={checkpoint.cumulative_pi_at_square}")
     lines.append(f"segment_cursor={checkpoint.segment_cursor}")
@@ -326,8 +323,11 @@ def write_checkpoint(path, checkpoint: SweepCheckpoint) -> None:
 
 
 def read_checkpoint(path) -> SweepCheckpoint:
-    with open(path, "r", encoding="ascii") as fh:
-        content = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            content = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     if not content or content[0] != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_VERSION} file")
     fields = {}
@@ -347,7 +347,7 @@ def read_checkpoint(path) -> SweepCheckpoint:
         raise CheckpointError(f"{path}: {exc}") from None
     if len(digest) != 64 or any(c not in "0123456789abcdef" for c in digest):
         raise CheckpointError(f"{path}: digest is not a sha256 hex string")
-    checkpoint = SweepCheckpoint(digest=digest, census_path=fields.get("census_path", ""), **ints)
+    checkpoint = SweepCheckpoint(digest=digest, **ints)
     expected_cursor = checkpoint.last_completed_x**2 + 1
     if checkpoint.segment_cursor != expected_cursor:
         raise CheckpointError(
@@ -393,7 +393,6 @@ def write_census_file(
     *,
     n_max: Optional[int] = None,
     checkpoint_path=None,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     stop_after: Optional[int] = None,
     resume_from=None,
 ) -> int:
@@ -403,13 +402,12 @@ def write_census_file(
     way out; returns the number of rows written.  ``resume_from`` is the
     (hasher, keep_offset) of a validated checkpoint: the file is cut back
     to the rows it covers and extended.  With ``checkpoint_path``, a
-    checkpoint is written every ``checkpoint_every`` x, at ``n_max`` and at
+    checkpoint is written every CHECKPOINT_EVERY x, at ``n_max`` and at
     ``stop_after``, the x after which the file ends early.
     """
     path = Path(path)
     hasher, keep_offset = resume_from or (hashlib.sha256(), None)
     target = path if resume_from else Path(f"{path}.partial")
-    checkpoint_every = max(1, int(checkpoint_every))
     written = 0
     with contextlib.closing(rows), open(target, "ab" if resume_from else "wb") as fh:
         if resume_from:
@@ -422,12 +420,12 @@ def write_census_file(
             hasher.update(line)
             written += 1
             stopping = stop_after is not None and record.x >= stop_after
-            if checkpoint_path is not None and (record.x % checkpoint_every == 0 or record.x == n_max or stopping):
+            if checkpoint_path is not None and (record.x % CHECKPOINT_EVERY == 0 or record.x == n_max or stopping):
                 fh.flush()
                 os.fsync(fh.fileno())
                 write_checkpoint(checkpoint_path, SweepCheckpoint(
                     n_max=n_max, last_completed_x=record.x, cumulative_pi_at_square=pi_square,
-                    segment_cursor=record.x**2 + 1, digest=hasher.hexdigest(), census_path=str(path)))
+                    segment_cursor=record.x**2 + 1, digest=hasher.hexdigest()))
                 os.replace(target, path)  # the checkpoint covers it now; a no-op once renamed
                 target = path
             if stopping:
@@ -444,8 +442,6 @@ def run_census(
     *,
     checkpoint_path=None,
     workers: int = 1,
-    segment_len: int = DEFAULT_SEGMENT_LEN,
-    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     resume: bool = False,
     stop_after: Optional[int] = None,
 ) -> int:
@@ -471,6 +467,6 @@ def run_census(
     elif n_max is None:
         raise ValueError("n_max is required for a fresh sweep")
 
-    rows = _sweep_pairs(n_max, workers, segment_len, start_x, cum_pi_start)
+    rows = _sweep_pairs(n_max, workers, DEFAULT_SEGMENT_LEN, start_x, cum_pi_start)
     return write_census_file(rows, out_path, n_max=n_max, checkpoint_path=checkpoint_path,
-                             checkpoint_every=checkpoint_every, stop_after=stop_after, resume_from=resume_from)
+                             stop_after=stop_after, resume_from=resume_from)

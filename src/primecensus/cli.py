@@ -90,7 +90,7 @@ def _cmd_census(args) -> int:
     if args.out is None:
         if args.checkpoint is not None:
             raise ValueError("--checkpoint needs --out (stdout cannot be resumed)")
-        sweep = census_mod.census_sweep(args.max_x, workers=args.workers, segment_len=args.segment_len)
+        sweep = census_mod.census_sweep(args.max_x, workers=args.workers)
         sys.stdout.write(census_mod.CENSUS_HEADER + "\n")
         with contextlib.closing(sweep):
             for record in sweep:
@@ -103,8 +103,6 @@ def _cmd_census(args) -> int:
         args.out,
         checkpoint_path=args.checkpoint,
         workers=args.workers,
-        segment_len=args.segment_len,
-        checkpoint_every=args.checkpoint_every,
         resume=args.resume,
         stop_after=args.stop_after,
     )
@@ -262,11 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="generate the census CSV for x=2..N")
     p.add_argument("--max-x", type=int, default=None, help="largest x to census (omit only with --resume)")
     p.add_argument("--out", help="output CSV (default: stdout)")
-    p.add_argument("--checkpoint", help="checkpoint file for interruption and resume")
+    p.add_argument("--checkpoint", help=f"checkpoint file, written every {census_mod.CHECKPOINT_EVERY} x, for interruption and resume")
     p.add_argument("--resume", action="store_true", help="continue from the checkpoint")
     p.add_argument("--workers", type=int, default=_default_workers(), help=f"sieve workers (default ${WORKERS_ENV} or 1)")
-    p.add_argument("--segment-len", type=int, default=census_mod.DEFAULT_SEGMENT_LEN, help="numbers per sieve segment")
-    p.add_argument("--checkpoint-every", type=int, default=census_mod.DEFAULT_CHECKPOINT_EVERY, help="x values between checkpoints")
     p.add_argument("--stop-after", type=int, default=None, help="stop cleanly after completing this x")
     p.set_defaults(handler=_cmd_census)
 

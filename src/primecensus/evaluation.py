@@ -21,7 +21,7 @@ import numpy as np
 
 from .census import census_table
 from .errors import DomainError
-from .models import DIFFERENCE_LINE, ModelSpec, model_spec, predict, predict_difference
+from .models import DIFFERENCE_LINE, ModelSpec, model_spec, predict
 
 # A prediction within this many units in the last place of the true count
 # is exact: equal up to float rounding.  A relative tolerance would not do,
@@ -206,5 +206,5 @@ def evaluate_difference_model(census: Iterable, spec: Optional[ModelSpec] = None
     xs, diffs = difference_arrays(*census_columns(census))
     if not diffs.size:
         raise DomainError("need at least 2 consecutive census rows for the difference series")
-    preds = np.asarray(predict_difference(xs, spec), dtype=np.float64)
+    preds = np.asarray(predict(xs, spec), dtype=np.float64)
     return _summarize(spec, _scores(xs, preds, diffs))

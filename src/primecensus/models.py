@@ -3,15 +3,17 @@
 Six count models (hyperbolic cosh, power law, clamped quadratic, clamped
 conic root, ratio-based, and the Bertrand-descended lower bound) plus the
 straight line that predicts the count difference between adjacent ranges.
-Every predictor is a pure function accepting a scalar or an ndarray; no
-rounding happens here -- match classification lives in ``evaluation``.
+Each is one formula in ``_FORMULAS``, keyed by kind, with its domain check
+beside it.  ``predict(x, spec)`` is the one entry: it accepts a scalar or
+an ndarray and returns the same; no rounding happens here -- match
+classification lives in ``evaluation``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -60,11 +62,6 @@ class ModelSpec:
     kind: str
     constants: Mapping[str, float]
 
-    def overrides(self) -> dict:
-        """The constants that differ from the published defaults."""
-        defaults = DEFAULT_CONSTANTS[self.kind]
-        return {k: v for k, v in self.constants.items() if v != defaults.get(k)}
-
 
 def model_spec(kind: str, **overrides: float) -> ModelSpec:
     """Build a ModelSpec with published defaults plus any overrides."""
@@ -77,43 +74,7 @@ def model_spec(kind: str, **overrides: float) -> ModelSpec:
     return ModelSpec(kind=kind, constants={**defaults, **overrides})
 
 
-def _prepare(x):
-    arr = np.asarray(x, dtype=np.float64)
-    return arr, arr.ndim == 0
-
-
-def _finish(values, scalar: bool):
-    return float(values) if scalar else values
-
-
-def predict_hyperbolic(x, spec: Optional[ModelSpec] = None):
-    """cosh(z_slope * ln(x) + z_intercept)."""
-    c = (spec or model_spec(HYPERBOLIC)).constants
-    arr, scalar = _prepare(x)
-    return _finish(np.cosh(c["z_slope"] * np.log(arr) + c["z_intercept"]), scalar)
-
-
-def predict_power(x, spec: Optional[ModelSpec] = None):
-    """a * x**b."""
-    c = (spec or model_spec(POWER_SERIES)).constants
-    arr, scalar = _prepare(x)
-    return _finish(c["a"] * arr ** c["b"], scalar)
-
-
-def predict_polynomial(x, spec: Optional[ModelSpec] = None):
-    """a*x**2 + b*x + c, clamped from below by x itself.
-
-    The clamp encodes the premise that the range [x, x**2] never holds
-    fewer than x primes, so a negative or tiny quadratic value is replaced
-    by x.
-    """
-    c = (spec or model_spec(POLYNOMIAL)).constants
-    arr, scalar = _prepare(x)
-    raw = c["a"] * arr * arr + c["b"] * arr + c["c"]
-    return _finish(np.maximum(arr, raw), scalar)
-
-
-def predict_conic(x, spec: Optional[ModelSpec] = None):
+def _conic(x, c):
     """The "-" root of C*y**2 + (B*x + E)*y + (A*x**2 + D*x + F) = 0, clamped by x.
 
     Evaluated as 2*(A*x**2 + D*x + F) / (-(B*x + E) + sqrt(disc)): the
@@ -121,57 +82,53 @@ def predict_conic(x, spec: Optional[ModelSpec] = None):
     magnitudes, which matters here because E**2 dominates the discriminant
     for small x.
     """
-    c = (spec or model_spec(CONIC)).constants
-    arr, scalar = _prepare(x)
-    s = c["B"] * arr + c["E"]
-    g = c["A"] * arr * arr + c["D"] * arr + c["F"]
+    s = c["B"] * x + c["E"]
+    g = c["A"] * x * x + c["D"] * x + c["F"]
     disc = s * s - 4.0 * c["C"] * g
     if np.any(disc < 0):
-        bad = np.atleast_1d(arr)[np.atleast_1d(disc) < 0][0]
-        raise DomainError(f"conic discriminant negative at x={bad:g}")
+        raise DomainError(f"conic discriminant negative at x={x[disc < 0][0]:g}")
     denom = -s + np.sqrt(disc)
     if np.any(denom == 0):
-        bad = np.atleast_1d(arr)[np.atleast_1d(denom) == 0][0]
-        raise DomainError(f"conic root undefined at x={bad:g}")
-    return _finish(np.maximum(arr, 2.0 * g / denom), scalar)
+        raise DomainError(f"conic root undefined at x={x[denom == 0][0]:g}")
+    return np.maximum(x, 2.0 * g / denom)
 
 
-def predict_custom_ratio(x, spec: Optional[ModelSpec] = None):
+def _custom_ratio(x, c):
     """(x**2 - x) / (k_slope * ln(x) + k_intercept); defined for x >= 2."""
-    c = (spec or model_spec(CUSTOM_RATIO)).constants
-    arr, scalar = _prepare(x)
-    if np.any(arr < 2):
-        bad = float(np.min(arr))
-        raise DomainError(f"custom ratio undefined below x=2 (got x={bad:g})")
-    return _finish((arr * arr - arr) / (c["k_slope"] * np.log(arr) + c["k_intercept"]), scalar)
+    if np.any(x < 2):
+        raise DomainError(f"custom ratio undefined below x=2 (got x={np.min(x):g})")
+    return (x * x - x) / (c["k_slope"] * np.log(x) + c["k_intercept"])
 
 
-def predict_bertrand(x):
+def _bertrand(x, c):
     """log2(x), i.e. half of log2(x**2): the iterated-postulate lower bound."""
-    arr, scalar = _prepare(x)
-    if np.any(arr <= 0):
+    if np.any(x <= 0):
         raise DomainError("bertrand bound needs x > 0")
-    return _finish(np.log2(arr), scalar)
+    return np.log2(x)
 
 
-def predict_difference(x, spec: Optional[ModelSpec] = None):
-    """slope*x + intercept, predicting count(x) - count(x-1)."""
-    c = (spec or model_spec(DIFFERENCE_LINE)).constants
-    arr, scalar = _prepare(x)
-    return _finish(c["slope"] * arr + c["intercept"], scalar)
-
-
-_PREDICTORS = {
-    HYPERBOLIC: predict_hyperbolic,
-    POWER_SERIES: predict_power,
-    POLYNOMIAL: predict_polynomial,
-    CONIC: predict_conic,
-    CUSTOM_RATIO: predict_custom_ratio,
-    BERTRAND: lambda x, spec=None: predict_bertrand(x),
-    DIFFERENCE_LINE: predict_difference,
+# Each formula maps x (a float64 array, at least 1-d) and a spec's constants
+# to the prediction at every x.
+_FORMULAS = {
+    # cosh(z_slope * ln(x) + z_intercept)
+    HYPERBOLIC: lambda x, c: np.cosh(c["z_slope"] * np.log(x) + c["z_intercept"]),
+    # a * x**b
+    POWER_SERIES: lambda x, c: c["a"] * x ** c["b"],
+    # a*x**2 + b*x + c, clamped from below by x itself: the range [x, x**2]
+    # never holds fewer than x primes, so a negative or tiny quadratic value
+    # is replaced by x.
+    POLYNOMIAL: lambda x, c: np.maximum(x, c["a"] * x * x + c["b"] * x + c["c"]),
+    CONIC: _conic,
+    CUSTOM_RATIO: _custom_ratio,
+    BERTRAND: _bertrand,
+    # slope*x + intercept, predicting count(x) - count(x-1)
+    DIFFERENCE_LINE: lambda x, c: c["slope"] * x + c["intercept"],
 }
 
 
 def predict(x, spec: ModelSpec):
-    """Dispatch to the predictor for ``spec.kind``."""
-    return _PREDICTORS[spec.kind](x, spec)
+    """The prediction of ``spec``'s model at x: a float for a scalar x, an
+    ndarray of x's shape for an array."""
+    arr = np.asarray(x, dtype=np.float64)
+    values = _FORMULAS[spec.kind](np.atleast_1d(arr), spec.constants)
+    return float(values[0]) if arr.ndim == 0 else values

@@ -1,13 +1,13 @@
 """Exact combinatorial prime counting, independent of the sieve engine.
 
 ``prime_pi`` evaluates pi(n) in O(n^(3/4)) time and O(sqrt(n)) memory by
-running a Legendre-style elimination over the distinct values of n // k.
-It exists to cross-check the census engine: the two never share sieve code.
+running a Legendre-style elimination over the distinct values of n // k,
+held as two int64 arrays (``_legendre_sweep``).  It exists to
+cross-check the census engine: the two never share sieve code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -24,37 +24,13 @@ def _check_width(n: int) -> None:
         raise RangeTooLargeError(f"n={n} exceeds the 64-bit guard")
 
 
-@dataclass
-class QuotientTable:
-    """Counts indexed by the distinct quotients n // k.
+def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate composites from the quotient table of n; returns (small, large).
 
-    ``small[v]`` holds the running count for key v (v <= isqrt(n));
-    ``large[k-1]`` holds it for key n // k (k <= isqrt(n)).  After the
-    elimination sweep every entry equals pi(key).
-    """
-
-    n: int
-    root: int
-    small: np.ndarray
-    large: np.ndarray
-
-    def key_count(self) -> int:
-        # Keys are 1..root plus the distinct n//k; the two runs overlap in
-        # at most one value, so this never exceeds 2*sqrt(n).
-        distinct_large = len({self.n // k for k in range(1, self.root + 1)})
-        return self.root + distinct_large - (1 if self.n // self.root == self.root else 0)
-
-    def value(self, key: int) -> int:
-        if key <= self.root:
-            return int(self.small[key])
-        k = self.n // key
-        if self.n // k != key:
-            raise KeyError(f"{key} is not a quotient of {self.n}")
-        return int(self.large[k - 1])
-
-
-def _legendre_sweep(n: int) -> QuotientTable:
-    """Eliminate composites from the quotient table of n.
+    The table holds one count per distinct quotient n // k.  ``small[v]``
+    is the count for key v (1 <= v <= isqrt(n)); ``large[k-1]`` is the
+    count for key n // k (1 <= k <= isqrt(n)).  After the sweep every
+    entry equals pi(key).
 
     Starts every key v at v - 1 (all integers in 2..v) and, for each prime
     p <= sqrt(n) in turn, removes the numbers whose least prime factor is p:
@@ -82,7 +58,7 @@ def _legendre_sweep(n: int) -> QuotientTable:
         if p2 <= r:
             vals = small[np.arange(p2, r + 1, dtype=np.int64) // p].copy()
             small[p2:] -= vals - sp
-    return QuotientTable(n=n, root=r, small=small, large=large)
+    return small, large
 
 
 def prime_pi(n: int) -> int:
@@ -92,7 +68,7 @@ def prime_pi(n: int) -> int:
     _check_width(n)
     if n < 2:
         return 0
-    return int(_legendre_sweep(n).large[0])
+    return int(_legendre_sweep(n)[1][0])
 
 
 def pi_prefix(limit: int) -> np.ndarray:
@@ -105,8 +81,8 @@ def pi_prefix(limit: int) -> np.ndarray:
     if limit < 1:
         return np.zeros(max(limit + 1, 0), dtype=np.int64)
     _check_width(limit * limit)
-    table = _legendre_sweep(limit * limit)
-    out = table.small[: limit + 1].copy()
+    small, _ = _legendre_sweep(limit * limit)
+    out = small[: limit + 1].copy()
     out[0] = 0
     return out
 

@@ -63,9 +63,10 @@ def read_census(path) -> np.recarray:
 
     The first defective line raises a distinct error kind: bad header,
     malformed row (not three plain int64 fields, or a negative count),
-    x_squared != x*x, non-ascending x, or a gap in x.
+    x_squared != x*x, non-ascending x, or a gap in x.  A non-ASCII byte
+    (a byte-order mark, say) is read as U+FFFD, so it fails its line.
     """
-    with open(path, "r", encoding="ascii") as fh:  # "\r\n" arrives as "\n"
+    with open(path, "r", encoding="ascii", errors="replace") as fh:  # "\r\n" arrives as "\n"
         header = fh.readline().rstrip("\r\n")
         if header != CENSUS_HEADER:
             raise CensusHeaderError(f"expected header {CENSUS_HEADER!r}, got {header!r}", line=1)
@@ -107,7 +108,7 @@ def _check_rows(table: np.recarray, body: str) -> None:
         return
     i = int(rows[0])
     x, square, count = table[i].tolist()
-    newlines = np.flatnonzero(np.frombuffer(body.encode("ascii"), dtype=np.uint8) == ord("\n"))
+    newlines = np.flatnonzero(np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8) == ord("\n"))
     line = int(np.flatnonzero(np.diff(newlines, prepend=-1) > 1)[i]) + 2  # blank lines hold no row
     if count < 0:
         raise CensusRowError(f"negative prime_count {count}", line=line)
@@ -126,6 +127,8 @@ def _check_rows(table: np.recarray, body: str) -> None:
 
 def parse_constant(text: str):
     """Split one ``model.constant=value`` assignment into (kind, name, value)."""
+    if not text.isascii():
+        raise ValueError(f"{text!r} is not ASCII text")
     key, sep, value = text.partition("=")
     if not sep:
         raise ValueError(f"expected key=value, got {text!r}")
@@ -141,7 +144,7 @@ def parse_constant(text: str):
 def read_constants(path) -> dict:
     """Parse ``model.constant=value`` lines into {kind: {name: value}}."""
     overrides: dict = {}
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -161,7 +164,7 @@ def write_constants(path, constants_by_kind: dict, comment: str | None = None) -
     for kind in sorted(constants_by_kind):
         for name, value in constants_by_kind[kind].items():
             lines.append(f"{kind}.{name}={format_real(value)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", errors="backslashreplace")
 
 
 # ---------------------------------------------------------------------------

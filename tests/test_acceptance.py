@@ -21,12 +21,7 @@ from primecensus import (
     fit_log_linear,
     model_spec,
     pi_prefix,
-    predict_bertrand,
-    predict_conic,
-    predict_custom_ratio,
-    predict_hyperbolic,
-    predict_polynomial,
-    predict_power,
+    predict,
     ratio_series,
     read_census,
     render,
@@ -84,7 +79,7 @@ def test_criterion_2_golden_floor_matches(capsys):
     by_x = {r.x: r.prime_count for r in census_sweep(1347)}
     for x, expected in GOLDEN_1347.items():
         assert by_x[x] == expected, f"census count at x={x}"
-        assert math.floor(predict_custom_ratio(x)) == expected, f"floor(prediction) at x={x}"
+        assert math.floor(predict(x, model_spec("custom_ratio"))) == expected, f"floor(prediction) at x={x}"
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
     with capsys.disabled():
@@ -93,12 +88,12 @@ def test_criterion_2_golden_floor_matches(capsys):
 
 def test_criterion_3_model_point_values(capsys):
     x = 140001
-    assert predict_power(x) == pytest.approx(870607669.3, rel=1e-6)
-    assert predict_conic(x) == pytest.approx(865796268.5, rel=1e-6)
-    assert predict_custom_ratio(x) == pytest.approx(865323992, rel=1e-6)
-    assert predict_bertrand(x) == pytest.approx(17.09507761, abs=1e-6)
-    assert predict_hyperbolic(x) == pytest.approx(870497682.6, rel=1e-3)
-    assert predict_polynomial(x) == pytest.approx(707139663.2, abs=0.05)
+    assert predict(x, model_spec("power_series")) == pytest.approx(870607669.3, rel=1e-6)
+    assert predict(x, model_spec("conic")) == pytest.approx(865796268.5, rel=1e-6)
+    assert predict(x, model_spec("custom_ratio")) == pytest.approx(865323992, rel=1e-6)
+    assert predict(x, model_spec("bertrand")) == pytest.approx(17.09507761, abs=1e-6)
+    assert predict(x, model_spec("hyperbolic")) == pytest.approx(870497682.6, rel=1e-3)
+    assert predict(x, model_spec("polynomial")) == pytest.approx(707139663.2, abs=0.05)
     with capsys.disabled():
         _report(3, "six model point values at x=140001 within stated tolerances")
 
@@ -227,7 +222,6 @@ def test_criterion_8_full_scale(tmp_path, capsys):
             census_path,
             checkpoint_path=str(census_path) + ".ck",
             workers=int(os.environ.get("PRIMECENSUS_WORKERS", "1")),
-            checkpoint_every=1000,
         )
     rows = read_census(census_path)
     assert rows[-1].x == n_max

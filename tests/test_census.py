@@ -155,9 +155,14 @@ def test_checkpoint_roundtrip(tmp_path):
         cumulative_pi_at_square=22044,
         segment_cursor=250001,
         digest="ab" * 32,
-        census_path="rows.csv",
     )
     write_checkpoint(path, checkpoint)
+    assert read_checkpoint(path) == checkpoint
+    # Older checkpoints also name the census file; that line is ignored.
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert not any(line.startswith("census_path=") for line in lines)
+    lines.insert(2, "census_path=rows.csv")
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
     assert read_checkpoint(path) == checkpoint
 
 
@@ -167,6 +172,9 @@ def test_checkpoint_rejects_bad_version_and_fields(tmp_path):
     with pytest.raises(CheckpointError):
         read_checkpoint(path)
     path.write_text("primecensus-checkpoint-v1\nn_max=10\n")
+    with pytest.raises(CheckpointError):
+        read_checkpoint(path)
+    path.write_bytes("primecensus-checkpoint-v1\nn_max=10é\n".encode("utf-8"))
     with pytest.raises(CheckpointError):
         read_checkpoint(path)
 
@@ -180,6 +188,16 @@ def test_interrupt_and_resume_is_byte_identical(tmp_path):
     assert written == 499
     resumed = run_census(None, split, checkpoint_path=ck, resume=True)
     assert resumed == 500
+    assert full.read_bytes() == split.read_bytes()
+
+
+def test_resume_to_non_ascii_path_is_byte_identical(tmp_path):
+    full = tmp_path / "full.csv"
+    split = tmp_path / "résultat.csv"
+    ck = tmp_path / "ck"
+    run_census(1500, full)
+    assert run_census(1500, split, checkpoint_path=ck, stop_after=700) == 699
+    assert run_census(None, split, checkpoint_path=ck, resume=True) == 800
     assert full.read_bytes() == split.read_bytes()
 
 
@@ -294,7 +312,7 @@ def test_resume_after_write_failure_completes(tmp_path, monkeypatch):
     out = tmp_path / "rows.csv"
     ck = tmp_path / "ck"
     with pytest.raises(OSError):
-        run_census(3000, out, checkpoint_path=ck, checkpoint_every=1000)
+        run_census(3000, out, checkpoint_path=ck)
     assert read_checkpoint(ck).last_completed_x == 2000
     monkeypatch.setattr(os, "fsync", real_fsync)
     assert run_census(None, out, checkpoint_path=ck, resume=True) == 1000
@@ -330,6 +348,6 @@ def test_failed_run_stops_its_pool(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fsync", boom)
     with pytest.raises(OSError) as failure:
-        run_census(3000, tmp_path / "rows.csv", checkpoint_path=tmp_path / "ck", checkpoint_every=1000, workers=2)
+        run_census(3000, tmp_path / "rows.csv", checkpoint_path=tmp_path / "ck", workers=2)
     # ``failure`` still holds the traceback, and with it run_census's frame.
     assert multiprocessing.active_children() == []

@@ -7,13 +7,6 @@ from primecensus import (
     DomainError,
     model_spec,
     predict,
-    predict_bertrand,
-    predict_conic,
-    predict_custom_ratio,
-    predict_difference,
-    predict_hyperbolic,
-    predict_polynomial,
-    predict_power,
 )
 from primecensus.models import ALL_MODEL_KINDS, COUNT_MODEL_KINDS, DEFAULT_CONSTANTS
 
@@ -21,9 +14,8 @@ from primecensus.models import ALL_MODEL_KINDS, COUNT_MODEL_KINDS, DEFAULT_CONST
 def test_model_spec_defaults_and_overrides():
     spec = model_spec("hyperbolic")
     assert spec.constants == {"z_slope": 1.9023, "z_intercept": -1.2634}
-    assert spec.overrides() == {}
     spec = model_spec("hyperbolic", z_slope=1.9029)
-    assert spec.overrides() == {"z_slope": 1.9029}
+    assert spec.constants == {"z_slope": 1.9029, "z_intercept": -1.2634}
     with pytest.raises(ValueError):
         model_spec("hyperbolic", bogus=1.0)
     with pytest.raises(ValueError):
@@ -35,59 +27,59 @@ def test_model_spec_defaults_and_overrides():
 
 
 def test_hyperbolic_values():
-    assert predict_hyperbolic(1) == pytest.approx(1.9100597804727628, rel=1e-12)
-    assert predict_hyperbolic(10) == pytest.approx(11.309248741600815, rel=1e-12)
-    assert predict_hyperbolic(140001) == pytest.approx(870497682.6, rel=1e-3)
+    assert predict(1, model_spec("hyperbolic")) == pytest.approx(1.9100597804727628, rel=1e-12)
+    assert predict(10, model_spec("hyperbolic")) == pytest.approx(11.309248741600815, rel=1e-12)
+    assert predict(140001, model_spec("hyperbolic")) == pytest.approx(870497682.6, rel=1e-3)
 
 
 def test_power_values():
-    assert predict_power(1) == 0.141294556371966
-    assert predict_power(10) == pytest.approx(11.284091169146153, rel=1e-12)
-    assert predict_power(140001) == pytest.approx(870607669.3, rel=1e-6)
+    assert predict(1, model_spec("power_series")) == 0.141294556371966
+    assert predict(10, model_spec("power_series")) == pytest.approx(11.284091169146153, rel=1e-12)
+    assert predict(140001, model_spec("power_series")) == pytest.approx(870607669.3, rel=1e-6)
 
 
 def test_polynomial_clamps_to_x():
     # Raw quadratic is about -3e7 at both x=10 and x=100.
-    assert predict_polynomial(10) == 10.0
-    assert predict_polynomial(100) == 100.0
-    assert predict_polynomial(140001) == pytest.approx(707139663.2457, abs=0.0001)
+    assert predict(10, model_spec("polynomial")) == 10.0
+    assert predict(100, model_spec("polynomial")) == 100.0
+    assert predict(140001, model_spec("polynomial")) == pytest.approx(707139663.2457, abs=0.0001)
 
 
 def test_conic_values():
     # Unclamped root is about -1.31e7 at both x=1 and x=10: clamp wins.
-    assert predict_conic(1) == 1.0
-    assert predict_conic(10) == 10.0
-    assert predict_conic(140001) == pytest.approx(865796268.5, rel=1e-6)
+    assert predict(1, model_spec("conic")) == 1.0
+    assert predict(10, model_spec("conic")) == 10.0
+    assert predict(140001, model_spec("conic")) == pytest.approx(865796268.5, rel=1e-6)
 
 
 def test_custom_ratio_values():
-    assert predict_custom_ratio(2) == pytest.approx(6.762964051782773, rel=1e-12)
-    assert predict_custom_ratio(731) == pytest.approx(44026.3870890, abs=1e-3)
-    assert predict_custom_ratio(140001) == pytest.approx(865323992, rel=1e-6)
+    assert predict(2, model_spec("custom_ratio")) == pytest.approx(6.762964051782773, rel=1e-12)
+    assert predict(731, model_spec("custom_ratio")) == pytest.approx(44026.3870890, abs=1e-3)
+    assert predict(140001, model_spec("custom_ratio")) == pytest.approx(865323992, rel=1e-6)
 
 
 def test_custom_ratio_domain():
     with pytest.raises(DomainError):
-        predict_custom_ratio(1)
+        predict(1, model_spec("custom_ratio"))
     with pytest.raises(DomainError):
-        predict_custom_ratio(np.array([5.0, 1.0]))
+        predict(np.array([5.0, 1.0]), model_spec("custom_ratio"))
 
 
 def test_bertrand_values():
-    assert predict_bertrand(2) == 1.0
-    assert predict_bertrand(1024) == 10.0
-    assert predict_bertrand(140001) == pytest.approx(17.09507761, abs=1e-6)
+    assert predict(2, model_spec("bertrand")) == 1.0
+    assert predict(1024, model_spec("bertrand")) == 10.0
+    assert predict(140001, model_spec("bertrand")) == pytest.approx(17.09507761, abs=1e-6)
 
 
 def test_bertrand_is_half_of_log2_square():
     for x in (2, 17, 1024, 140001, 449999):
-        assert 2.0 * predict_bertrand(x) == pytest.approx(math.log2(x * x), rel=1e-15)
+        assert 2.0 * predict(x, model_spec("bertrand")) == pytest.approx(math.log2(x * x), rel=1e-15)
 
 
 def test_difference_line_values():
-    assert predict_difference(0) == pytest.approx(1018.8, rel=1e-12)
-    assert predict_difference(10000) == pytest.approx(1773.8, rel=1e-12)
-    assert predict_difference(140001) == pytest.approx(11588.8755, rel=1e-9)
+    assert predict(0, model_spec("difference_line")) == pytest.approx(1018.8, rel=1e-12)
+    assert predict(10000, model_spec("difference_line")) == pytest.approx(1773.8, rel=1e-12)
+    assert predict(140001, model_spec("difference_line")) == pytest.approx(11588.8755, rel=1e-9)
 
 
 def test_predict_dispatch_and_vectorization():
@@ -102,8 +94,8 @@ def test_predict_dispatch_and_vectorization():
 
 def test_clamped_models_never_fall_below_x():
     xs = np.arange(1, 200001, dtype=np.float64)
-    assert np.all(predict_polynomial(xs) >= xs)
-    assert np.all(predict_conic(xs) >= xs)
+    assert np.all(predict(xs, model_spec("polynomial")) >= xs)
+    assert np.all(predict(xs, model_spec("conic")) >= xs)
 
 
 def test_conic_discriminant_nonnegative_over_published_domain():
@@ -119,7 +111,7 @@ def test_conic_domain_error_reports_x():
     # Force a negative discriminant with a hostile constant set.
     spec = model_spec("conic", A=1.0, B=0.0, C=1.0, D=0.0, E=0.0, F=1.0)
     with pytest.raises(DomainError, match="x=3"):
-        predict_conic(3, spec)
+        predict(3, spec)
 
 
 def test_five_predictors_strictly_increasing_from_2():
@@ -133,7 +125,7 @@ def test_five_predictors_strictly_increasing_from_2():
 
 def test_custom_ratio_strictly_increasing_from_3():
     xs = np.arange(3, 100001, dtype=np.float64)
-    values = predict_custom_ratio(xs)
+    values = predict(xs, model_spec("custom_ratio"))
     assert np.all(np.diff(values) > 0)
 
 
@@ -151,4 +143,4 @@ def test_all_predictors_strictly_increasing_from_2_as_stated():
 
 def test_hyperbolic_alternate_slope_reachable():
     spec = model_spec("hyperbolic", z_slope=1.9029)
-    assert predict_hyperbolic(140001, spec) == pytest.approx(876708663.0, rel=1e-6)
+    assert predict(140001, spec) == pytest.approx(876708663.0, rel=1e-6)

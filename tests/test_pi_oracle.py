@@ -1,3 +1,5 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 
@@ -41,9 +43,14 @@ def test_non_decreasing_steps_of_at_most_one():
 
 def test_quotient_table_shape_and_final_value():
     for n in (10, 97, 1000, 99_991):
-        table = _legendre_sweep(n)
-        assert table.key_count() <= 2 * int(np.sqrt(n)) + 1
-        assert table.value(n) == prime_pi(n)
+        small, large = _legendre_sweep(n)
+        r = isqrt(n)
+        assert small.shape == (r + 1,) and large.shape == (r,)
+        reference = naive_pi_table(n)
+        keys = np.arange(1, r + 1)
+        assert np.array_equal(small[1:], reference[keys]), n  # small[v] = pi(v)
+        assert np.array_equal(large, reference[n // keys]), n  # large[k-1] = pi(n // k)
+        assert large[0] == prime_pi(n)
 
 
 def test_count_in_range_oracle_values():

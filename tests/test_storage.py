@@ -89,13 +89,17 @@ ERROR_CASES = [
     (HEADER.replace("\n", "\r\n") + "2,4,2\r\n3,9,3\r\n5,25,4\r\n", CensusGapError, 4),  # CRLF
     (HEADER + "2,4,2\n3,10,3", CensusSquareError, 3),  # no newline after the last row
     (HEADER + "2,4,2\n3,9,x", CensusRowError, 3),
+    # Non-ASCII text fails its own line: a byte-order mark, a stray character.
+    ("\ufeff" + HEADER + "2,4,2\n", CensusHeaderError, 1),
+    (HEADER + "2,4,2\n3,9,3\u00a0\n", CensusRowError, 3),
+    (HEADER + "2,4,2\n3,10,3\n4,16,4\u00e9\n", CensusSquareError, 3),
 ]
 
 
 def test_read_census_error_kinds(tmp_path):
     path = tmp_path / "rows.csv"
     for text, kind, line in ERROR_CASES:
-        path.write_text(text)
+        path.write_bytes(text.encode("utf-8"))
         with pytest.raises(kind) as info:
             read_census(path)
         assert info.value.line == line, text
@@ -170,6 +174,10 @@ def test_constants_file_round_trip(tmp_path):
     text = path.read_text()
     assert text.startswith("# recovered by fit\n")
     assert "custom_ratio.k_slope=2.0041" in text
+    # A comment naming a non-ASCII census path is escaped, not refused.
+    write_constants(path, data, comment="fitted from résultat.csv")
+    assert read_constants(path) == data
+    assert path.read_text(encoding="ascii").startswith("# fitted from r\\xe9sultat.csv\n")
 
 
 def test_constants_file_rejects_garbage(tmp_path):
@@ -182,6 +190,10 @@ def test_constants_file_rejects_garbage(tmp_path):
         read_constants(path)
     path.write_text("custom_ratio.k_slope=two\n")
     with pytest.raises(ValueError):
+        read_constants(path)
+    # A byte-order mark, as spreadsheet tools write one, is named by path and line.
+    path.write_bytes("\ufeffcustom_ratio.k_slope=2.0\n".encode("utf-8"))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: ")):
         read_constants(path)
 
 
