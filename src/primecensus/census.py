@@ -260,7 +260,9 @@ def _sweep_pairs(n_max, workers, segment_len, start_x, cum_pi_start) -> Iterator
         raise ValueError("resuming mid-sweep requires cum_pi_start = pi((start_x-1)**2)")
     if segment_len < 1:
         raise ValueError("segment_len must be >= 1")
-    return _sweep(n_max, sieve_flags(n_max), max(1, int(workers)), segment_len, start_x, cum_pi_start)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return _sweep(n_max, sieve_flags(n_max), workers, segment_len, start_x, cum_pi_start)
 
 
 def _sweep(n_max, flags, workers, segment_len, start_x, cum_pi_start):

@@ -42,12 +42,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "")
+def _workers(text: str) -> int:
+    """--workers as an integer >= 1; the text may be $PRIMECENSUS_WORKERS."""
     try:
-        return max(1, int(raw))
+        value = int(text)
     except ValueError:
-        return 1
+        value = 0  # refused below, with the text quoted
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r} (default: ${WORKERS_ENV} or 1)")
+    return value
 
 
 def _parse_models(text: str):
@@ -262,7 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV (default: stdout)")
     p.add_argument("--checkpoint", help=f"checkpoint file, written every {census_mod.CHECKPOINT_EVERY} x, for interruption and resume")
     p.add_argument("--resume", action="store_true", help="continue from the checkpoint")
-    p.add_argument("--workers", type=int, default=_default_workers(), help=f"sieve workers (default ${WORKERS_ENV} or 1)")
+    # A string default goes through ``type`` only when census is parsed, so
+    # a bad $PRIMECENSUS_WORKERS fails the census command, not --help.
+    p.add_argument("--workers", type=_workers, default=os.environ.get(WORKERS_ENV) or "1",
+                   help=f"sieve workers (default ${WORKERS_ENV} or 1)")
     p.add_argument("--stop-after", type=int, default=None, help="stop cleanly after completing this x")
     p.set_defaults(handler=_cmd_census)
 

@@ -4,6 +4,25 @@
 running a Legendre-style elimination over the distinct values of n // k,
 held as two int64 arrays (``_legendre_sweep``).  It exists to
 cross-check the census engine: the two never share sieve code.
+
+The sweep takes the primes p <= sqrt(n) in three phases; each prime
+updates every key v >= p*p from the table as the smaller primes left it.
+
+1. p <= n^(1/4), about 120 primes at 2e11: these are the primes that also
+   change the small half (keys <= sqrt(n)).  Each is found on the table
+   itself and updated with one strided read of the large half and one
+   gather from the small half.
+2. n^(1/4) < p <= n^(1/3), about 640 primes: the small half is now exact,
+   so it lists every prime <= sqrt(n) and gives pi(p - 1) as the prime's
+   index.  Each prime updates the large half as in phase 1.
+3. p > n^(1/3), about 36,000 primes: let p0 be the smallest of them, so
+   p0**3 > n.  Each writes only entries large[k-1] with
+   k <= n // p**2 <= n // p0**2 < p0, and reads only the exact small half
+   and large entries at index k*p - 1 >= p0 - 1.  No prime of this phase
+   reads an entry another one writes, so their updates commute: one loop
+   over the keys k = 1 .. n // p0**2 (about 5,800 at 2e11) applies each
+   key's terms from all primes at once, and the pi(p - 1) terms sum as
+   an arithmetic series.
 """
 
 from __future__ import annotations
@@ -34,30 +53,52 @@ def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Starts every key v at v - 1 (all integers in 2..v) and, for each prime
     p <= sqrt(n) in turn, removes the numbers whose least prime factor is p:
-    S(v) -= S(v // p) - pi(p - 1).  Gathering the S(v // p) values before
-    scattering keeps the update equivalent to the descending-key loop.
+    S(v) -= S(v // p) - pi(p - 1), for every key v >= p*p, in the three
+    phases of the module docstring.
     """
     r = isqrt(n)
-    ks = np.arange(1, r + 1, dtype=np.int64)
-    large = n // ks - 1
+    keys = n // np.arange(1, r + 1, dtype=np.int64)
+    large = keys - 1
     small = np.arange(-1, r, dtype=np.int64)
-    for p in range(2, r + 1):
+
+    def sieve_large(p: int, sp: int) -> None:
+        # Keys n // k >= p*p, i.e. k <= n // p**2.  For k <= r // p the key
+        # n // (k*p) is a large key; otherwise it is small, n // k // p.
+        kmax = min(r, n // (p * p))
+        a = min(kmax, r // p)
+        large[:a] -= large[p - 1 : a * p : p] - sp
+        large[a:kmax] -= small[keys[a:kmax] // p] - sp
+
+    # Phase 1, p <= n**(1/4): the only primes that also change the small half.
+    for p in range(2, isqrt(r) + 1):
         if small[p] == small[p - 1]:
             continue  # p composite: no change at key p
         sp = int(small[p - 1])
-        p2 = p * p
-        kmax = min(r, n // p2)
-        if kmax >= 1:
-            kp = ks[:kmax] * p
-            vals = np.empty(kmax, dtype=np.int64)
-            in_large = kp <= r
-            vals[in_large] = large[kp[in_large] - 1]
-            in_small = ~in_large
-            vals[in_small] = small[n // kp[in_small]]
-            large[:kmax] -= vals - sp
-        if p2 <= r:
-            vals = small[np.arange(p2, r + 1, dtype=np.int64) // p].copy()
-            small[p2:] -= vals - sp
+        sieve_large(p, sp)
+        small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r - p * p + 1] - sp
+
+    # The small half is now exact, so it lists the primes <= r, and the
+    # i-th of them (from 0) has pi(p - 1) = i.
+    primes = np.flatnonzero(np.diff(small[1:])) + 2
+    first = int(np.searchsorted(primes, isqrt(r), side="right"))
+    tail = int(np.count_nonzero(primes * primes <= n // primes))  # p**3 <= n
+
+    # Phase 2, n**(1/4) < p <= n**(1/3): large half only, prime by prime.
+    for i in range(first, tail):
+        sieve_large(int(primes[i]), i)
+
+    # Phase 3, p > n**(1/3): the updates commute (module docstring), so
+    # they go key by key, each summed over the primes with p*p <= n // k.
+    ps = primes[tail:]
+    if ps.size:
+        kmax = min(r, n // int(ps[0]) ** 2)
+        ps_less1 = ps - 1
+        counts = np.searchsorted(ps * ps, keys[:kmax], side="right").tolist()
+        splits = np.searchsorted(ps, r // np.arange(1, kmax + 1), side="right").tolist()
+        for k, key, c, m in zip(range(1, kmax + 1), keys[:kmax].tolist(), counts, splits):
+            m = min(m, c)  # primes with k*p <= r read large[k*p - 1], i.e. large[k-1::k][p-1]
+            total = large[k - 1 :: k][ps_less1[:m]].sum() + small[key // ps[m:c]].sum()
+            large[k - 1] -= total - (c * tail + c * (c - 1) // 2)
     return small, large
 
 
@@ -88,11 +129,15 @@ def pi_prefix(limit: int) -> np.ndarray:
 
 
 def count_in_range_oracle(x: int) -> int:
-    """Primes in the closed range [x, x*x], via pi(x**2) - pi(x - 1)."""
+    """Primes in the closed range [x, x*x], via pi(x**2) - pi(x - 1).
+
+    Both terms come from the one sweep at x**2.
+    """
     if x < 1:
         raise ValueError("x must be positive")
     if x > MAX_SQUARE_BASE:
         raise RangeTooLargeError(f"x={x}: x**2 exceeds the 64-bit guard")
     if x == 1:
         return 0
-    return prime_pi(x * x) - prime_pi(x - 1)
+    small, large = _legendre_sweep(x * x)
+    return int(large[0] - small[x - 1])  # x - 1 <= isqrt(x**2): a small key

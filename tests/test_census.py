@@ -127,6 +127,16 @@ def test_sweep_independent_of_workers():
         assert list(census_sweep(300, workers=workers, segment_len=4096)) == baseline
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_refuses_bad_worker_counts(tmp_path, workers):
+    with pytest.raises(ValueError, match="workers"):
+        census_sweep(50, workers=workers)
+    out = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match="workers"):
+        run_census(50, out, checkpoint_path=tmp_path / "ck", workers=workers)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_monotonic_and_never_below_x_at_desk_scale(census_10k):
     counts = np.array([r.prime_count for r in census_10k], dtype=np.int64)
     xs = np.array([r.x for r in census_10k], dtype=np.int64)

@@ -80,6 +80,39 @@ def test_census_workers_env_default(tmp_path, capsys, monkeypatch):
     assert args.workers == 2
 
 
+@pytest.mark.parametrize("flag", ["0", "-2", "two"])
+def test_census_refuses_bad_workers_flag(tmp_path, capsys, flag):
+    out = tmp_path / "c.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["census", "--max-x", "50", "--out", str(out), "--workers", flag])
+    assert info.value.code == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "1.5"])
+def test_census_refuses_bad_workers_env(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("PRIMECENSUS_WORKERS", value)
+    out = tmp_path / "c.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["census", "--max-x", "50", "--out", str(out)])
+    assert info.value.code == 1
+    assert "PRIMECENSUS_WORKERS" in capsys.readouterr().err
+    assert not out.exists()
+    # The flag wins over the variable, and other commands never read it.
+    assert run(capsys, "census", "--max-x", "50", "--out", str(out), "--workers", "1")[0] == 0
+    assert run(capsys, "pi", "100")[:2] == (0, "25\n")
+
+
+def test_help_survives_bad_workers_env(capsys, monkeypatch):
+    monkeypatch.setenv("PRIMECENSUS_WORKERS", "-3")
+    for argv in (["--help"], ["census", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 def test_verify_ok_and_corrupted(tmp_path, capsys):
     out = tmp_path / "t.csv"
     run(capsys, "census", "--max-x", "22", "--out", str(out))

@@ -6,7 +6,30 @@ import pytest
 from primecensus import RangeTooLargeError, count_in_range_oracle, pi_prefix, prime_pi
 from primecensus.pi_oracle import _legendre_sweep
 
-from pi_reference import naive_pi_table
+from pi_reference import legendre_sweep_reference, naive_pi_table
+
+
+def _assert_tables_match_reference(n):
+    small, large = _legendre_sweep(n)
+    ref_small, ref_large = legendre_sweep_reference(n)
+    assert small.dtype == large.dtype == np.int64
+    assert np.array_equal(small, ref_small), f"small half differs at n={n}"
+    assert np.array_equal(large, ref_large), f"large half differs at n={n}"
+
+
+def _phase_boundaries():
+    """n at which a prime enters a phase's edge: m**2, m**3, m**4 (and one
+    below each) for small m, and p**2 for primes p of every size."""
+    ns = set()
+    for m in (*range(2, 32), 97, 101, 127, 210, 211):
+        for e in (2, 3, 4):
+            ns.update((m**e, m**e - 1))
+    ns.update(p * p for p in (2, 3, 5, 7, 1009, 9973, 31607, 99991))
+    return sorted(n for n in ns if n >= 2)
+
+
+# One seeded n per decade from 1e6 to 1e12.
+_SEEDED_N = [int(10 ** (d + u)) for d, u in zip(range(6, 12), np.random.default_rng(1).uniform(0, 1, 6))]
 
 
 def test_small_values():
@@ -57,6 +80,8 @@ def test_count_in_range_oracle_values():
     assert count_in_range_oracle(1) == 0
     assert count_in_range_oracle(5) == 7
     assert count_in_range_oracle(731) == 44026
+    for x in (2, 3, 4, 97, 100, 1000, 65_521):
+        assert count_in_range_oracle(x) == prime_pi(x * x) - prime_pi(x - 1), x
 
 
 def test_width_guards():
@@ -68,3 +93,23 @@ def test_width_guards():
         prime_pi(-1)
     with pytest.raises(ValueError):
         count_in_range_oracle(0)
+
+
+def test_sweep_matches_reference_for_every_n_to_20000():
+    for n in range(2, 20_001):
+        _assert_tables_match_reference(n)
+
+
+@pytest.mark.parametrize("n", _phase_boundaries())
+def test_sweep_matches_reference_at_phase_boundaries(n):
+    _assert_tables_match_reference(n)
+
+
+@pytest.mark.parametrize("n", _SEEDED_N)
+def test_sweep_matches_reference_at_seeded_n(n):
+    _assert_tables_match_reference(n)
+
+
+@pytest.mark.parametrize("n, expected", [(10**10, 455_052_511), (10**11, 4_118_054_813)])
+def test_published_prime_counts(n, expected):
+    assert prime_pi(n) == expected
