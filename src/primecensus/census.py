@@ -7,19 +7,26 @@ reduced in ascending order, so the emitted stream does not depend on the
 worker count or the segment length.
 
 The segment kernel is a pure function of (lo, hi, basis) and holds only
-odd values, one slot each.  It marks composites in three steps:
+odd values, one slot each.  It marks composites in four steps:
 
-- First hits: one int64 numpy pass over the basis gives every prime's
-  first odd multiple in [max(lo, p*p), hi), as a slot index.
-- Small primes, below T = slots // 32 (65,536 at the default 2**22
-  segment), get one strided store each from that first hit.
-- Large primes hit the segment about 32 times at most.  They are marked
+- Pre-sieved start: the segment starts as a copy of a pattern, built at
+  import, in which the odd multiples of 3..17 are already cleared.  It
+  repeats every 3*5*7*11*13*17 = 255,255 slots and is read from slot
+  ((lo - 1) // 2) mod 255,255; the six primes themselves are set back
+  when they lie in the segment.
+- First hits: one int64 numpy pass over the rest of the basis gives
+  every prime's first odd multiple in [max(lo, p*p), hi), as a slot index.
+- Small primes, from 19 to below T = slots // 64 (32,768 at the default
+  2**22 segment), get one strided store each from that first hit.
+- Large primes hit the segment about 64 times at most.  They are marked
   4,096 primes at a time by one scatter whose indices are a cumulative
-  sum over np.repeat'ed strides: the numpy form of a bucket sieve
+  sum over np.repeat'ed strides: the numpy form of a bucket sieve.
+  Pattern and buckets are the standard devices of segmented sieves
   (T. Oliveira e Silva, 2001; K. Walisch, primesieve).
 
-T follows the segment length, so no offsets carry across segments and
-the output stays independent of how the range is cut.
+T follows the segment length and the pattern offset follows lo, so no
+state carries across segments and the output stays independent of how
+the range is cut.
 
 ``write_census_file`` is the one writer of census files.  Its crash rule:
 a census under its final name is complete, or a checkpoint on disk covers
@@ -34,7 +41,7 @@ import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
@@ -54,8 +61,12 @@ CHECKPOINT_EVERY = 1000  # x values between the checkpoints of a census file
 # attempt: n_max up to about 2.98e7, where the paper needs 449,999.
 BASE_SIEVE_MAX_BYTES = 1 << 28
 # Large primes are scattered this many at a time, so the index arrays of
-# one batch stay near a megabyte.
+# one batch stay within about two megabytes (hits near 64 at T).
 _SCATTER_CHUNK = 4096
+# Every segment starts with the odd multiples of these primes cleared, from
+# a pattern whose period in odd slots is their product.
+_PRESIEVE_PRIMES = (3, 5, 7, 11, 13, 17)
+_PRESIEVE_PERIOD = prod(_PRESIEVE_PRIMES)
 
 CENSUS_HEADER = "x,x_squared,prime_count"
 CHECKPOINT_VERSION = "primecensus-checkpoint-v1"
@@ -126,27 +137,46 @@ def _odd_sieve_basis(flags: np.ndarray):
     return primes, primes * primes
 
 
+def _presieve_pattern() -> np.ndarray:
+    """Two periods of odd slots, slot k for the value 2k + 1, with every odd
+    multiple of a _PRESIEVE_PRIMES prime cleared (the primes too)."""
+    pattern = np.ones(2 * _PRESIEVE_PERIOD, dtype=bool)
+    for q in _PRESIEVE_PRIMES:
+        pattern[(q - 1) // 2 :: q] = False  # strided stores: no int64 index array
+    return pattern
+
+
+_PRESIEVE_PATTERN = _presieve_pattern()
+
+
 def _sieve_odd_segment(lo: int, hi: int, primes: np.ndarray, prime_squares: np.ndarray) -> np.ndarray:
     """Primality mask for the odd values lo, lo+2, ..., < hi (lo odd).
 
     Slot j holds lo + 2j, and the odd multiples of an odd prime p are p
-    slots apart.  Primes below T = slots // 32 are marked with one strided
-    store each; the rest hit the segment about 32 times at most and are marked
-    by an index scatter, _SCATTER_CHUNK primes at a time.
+    slots apart.  The mask starts as a copy of the pre-sieve pattern from
+    slot (lo - 1) // 2 on, so the primes up to 17 are done.  The other
+    primes below T = slots // 64 are marked with one strided store each;
+    the rest hit the segment about 64 times at most and are marked by an
+    index scatter, _SCATTER_CHUNK primes at a time.
     """
     slots = (hi - lo) // 2
-    mask = np.ones(slots, dtype=bool)
+    offset = ((lo - 1) // 2) % _PRESIEVE_PERIOD
+    mask = np.resize(_PRESIEVE_PATTERN[offset : offset + _PRESIEVE_PERIOD], slots)  # a copy
+    for q in _PRESIEVE_PRIMES:
+        if lo <= q < hi:  # only in a segment that starts below 19
+            mask[(q - lo) // 2] = True
+    skip = int(np.searchsorted(primes, _PRESIEVE_PRIMES[-1], side="right"))
     cut = int(np.searchsorted(prime_squares, hi))  # primes with p*p < hi
-    primes = primes[:cut]
+    primes = primes[skip:cut]
     # lo + r is the first multiple of p >= lo; adding p makes it odd if it is not.
     r = (-lo) % primes
     r += (r & 1) * primes
-    first = np.maximum(r >> 1, (prime_squares[:cut] - lo) >> 1)
+    first = np.maximum(r >> 1, (prime_squares[skip:cut] - lo) >> 1)
 
-    split = int(np.searchsorted(primes, slots // 32))
+    split = int(np.searchsorted(primes, slots // 64))
     for p, j in zip(primes[:split].tolist(), first[:split].tolist()):
         mask[j::p] = False
-    for c in range(split, cut, _SCATTER_CHUNK):
+    for c in range(split, len(primes), _SCATTER_CHUNK):
         p = primes[c : c + _SCATTER_CHUNK]
         j = first[c : c + _SCATTER_CHUNK]
         hits = (slots - j + p - 1) // p

@@ -38,8 +38,10 @@ EVALUATION_HEADER = "x,true_count,model,prediction,relative_error,match_class"
 # Python numbers would be held all at once, next to the census table.
 _EVALUATION_BLOCK = 8192
 
-# The first line of census text that is neither blank nor three integer fields.
-_MALFORMED_LINE = r"(?m)^(?!(?:-?[0-9]+,-?[0-9]+,-?[0-9]+)?$)"
+# The longest prefix of census text whose lines are each blank or three
+# integer fields: one anchored possessive match, so it never backtracks.
+# [0-9], not \d, which would accept non-ASCII digits.
+_VALID_LINES = re.compile(r"(?:(?:-?[0-9]++,-?[0-9]++,-?[0-9]++)?\n)*+")
 _LONG_FIELD = r"-?[0-9]{19,}"  # only these can fall outside int64
 
 
@@ -73,8 +75,7 @@ def read_census(path) -> np.recarray:
         body = fh.read()
     if body and not body.endswith("\n"):
         body += "\n"
-    malformed = re.search(_MALFORMED_LINE, body)
-    end = malformed.start() if malformed else len(body)
+    end = _VALID_LINES.match(body).end()  # the start of the first malformed line
     try:
         table = _parse_rows(body[:end])
     except ValueError:  # np.loadtxt refuses a field outside int64

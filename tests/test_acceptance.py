@@ -2,9 +2,12 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  Criterion 8 is the
 full-scale gate (a quarter hour or more of sieving) and only runs when
-PRIMECENSUS_FULL_SCALE=1.
+PRIMECENSUS_FULL_SCALE=1; it compares the census with the digest in
+``full_scale_golden.json``.
 """
 
+import hashlib
+import json
 import math
 import os
 import time
@@ -194,6 +197,10 @@ def test_criterion_9_plot_structure(census_10k, capsys):
 # ---------------------------------------------------------------------------
 
 FULL_SCALE = os.environ.get("PRIMECENSUS_FULL_SCALE") == "1"
+# SHA-256, byte and row counts of the census to x = 449,999, and its rows
+# at every x that is a multiple of 10,000 and at 449,999, each checked
+# against count_in_range_oracle when the file was made.
+FULL_SCALE_GOLDEN = json.loads((Path(__file__).parent / "full_scale_golden.json").read_text(encoding="ascii"))
 
 FULL_SCALE_ARE = {
     "custom_ratio": 0.0001,
@@ -225,13 +232,20 @@ def test_criterion_8_full_scale(tmp_path, capsys):
         )
     rows = read_census(census_path)
     assert rows[-1].x == n_max
+    census_bytes = census_path.read_bytes()
+    assert len(rows) == FULL_SCALE_GOLDEN["rows"]
+    assert len(census_bytes) == FULL_SCALE_GOLDEN["bytes"]
+    for sample in FULL_SCALE_GOLDEN["samples"]:
+        assert list(rows[sample[0] - 2].tolist()) == sample
+    assert hashlib.sha256(census_bytes).hexdigest() == FULL_SCALE_GOLDEN["sha256"]
 
     by_x = {r.x: r.prime_count for r in rows[312_000 - 2 : 312_500]}
     assert by_x[312_402] == 4_023_029_104
 
+    measured = {}
     for kind, published in FULL_SCALE_ARE.items():
-        summary = evaluate_model(rows, model_spec(kind))
-        assert summary.average_relative_error == pytest.approx(published, abs=0.0005), kind
+        measured[kind] = evaluate_model(rows, model_spec(kind)).average_relative_error
+        assert measured[kind] == pytest.approx(published, abs=0.0005), kind
 
     difference = evaluate_difference_model(rows)
     assert difference.average_relative_error == pytest.approx(0.1201, abs=0.01)
@@ -240,4 +254,20 @@ def test_criterion_8_full_scale(tmp_path, capsys):
     assert kappa_fit.slope == pytest.approx(2.0038, abs=0.01)
     assert kappa_fit.intercept == pytest.approx(-1.0932, abs=0.01)
     with capsys.disabled():
-        _report(8, "full-scale census, published AREs, difference ARE and ratio-curve fit all reproduced")
+        values = ", ".join(f"{kind}={are:.6f}" for kind, are in measured.items())
+        _report(8, f"full-scale census matches its golden digest; AREs {values}; difference ARE "
+                   f"{difference.average_relative_error:.6f}; ratio fit slope {kappa_fit.slope:.6f}, "
+                   f"intercept {kappa_fit.intercept:.6f}")
+
+
+def test_full_scale_golden_is_consistent():
+    """The golden digest's own shape, and its two smallest rows against the
+    oracle (the criterion 8 run checks the rest of it against the census)."""
+    golden = FULL_SCALE_GOLDEN
+    assert golden["n_max"] == 449_999 and golden["rows"] == golden["n_max"] - 1
+    assert len(golden["sha256"]) == 64 and set(golden["sha256"]) <= set("0123456789abcdef")
+    assert [s[0] for s in golden["samples"]] == [*range(10_000, 449_999, 10_000), 449_999]
+    for x, x_squared, count in golden["samples"]:
+        assert x_squared == x * x and x <= count < x_squared
+    for x, _, count in golden["samples"][:2]:
+        assert count_in_range_oracle(x) == count, x

@@ -68,7 +68,7 @@ def test_sweep_independent_of_segment_len():
     baseline = list(census_sweep(200))
     for segment_len in (1024, 4096, 65536):
         assert list(census_sweep(200, segment_len=segment_len)) == baseline
-    # At 2**14 the scatter threshold (slots // 32 = 256) is far below the
+    # At 2**14 the scatter threshold (slots // 64 = 128) is far below the
     # largest base prime (2999); the default length strides every prime.
     baseline = list(census_sweep(3000))
     for segment_len in (2048, 1 << 14):
@@ -76,7 +76,7 @@ def test_sweep_independent_of_segment_len():
 
 
 def test_segment_kernel_matches_base_sieve_on_short_segments():
-    """Short segments put the scatter threshold at 16..128, so most of the
+    """Short segments put the scatter threshold at 8..64, so most of the
     basis (primes up to 1999, some with no hit at all) is scattered."""
     limit = 2_000_000
     flags = sieve_flags(limit)
@@ -98,6 +98,69 @@ def test_segment_kernel_default_length_at_1e10():
     assert isqrt(hi) < 449_999
     mask = census._sieve_odd_segment(lo, hi, *basis)
     assert int(np.count_nonzero(mask)) == prime_pi(hi - 1) - prime_pi(lo - 1)
+
+
+PRESIEVE_PERIOD = 3 * 5 * 7 * 11 * 13 * 17  # odd slots; twice as many integers
+KERNEL_LIMIT = 8 * PRESIEVE_PERIOD  # four periods of integers
+
+
+@pytest.fixture(scope="module")
+def kernel_flags():
+    """Base-sieve flags to KERNEL_LIMIT and the basis that covers it."""
+    return sieve_flags(KERNEL_LIMIT), census._odd_sieve_basis(sieve_flags(isqrt(KERNEL_LIMIT)))
+
+
+@pytest.mark.parametrize("lo", range(3, 22, 2))
+def test_segment_kernel_at_every_small_start(kernel_flags, lo):
+    """Each pre-sieved prime 3..17 is the first slot of one of these segments,
+    and must be left marked prime."""
+    flags, basis = kernel_flags
+    for length in (2, 6, 34, 1000, 2 * PRESIEVE_PERIOD + 10):
+        mask = census._sieve_odd_segment(lo, lo + length, *basis)
+        assert np.array_equal(mask, flags[lo : lo + length : 2]), (lo, length)
+
+
+def test_segment_kernel_on_lengths_off_the_period(kernel_flags):
+    """Segments shorter than the pattern's period and lengths that are not
+    a multiple of it, from starts at, just before and just after a period."""
+    flags, basis = kernel_flags
+    starts = [2 * PRESIEVE_PERIOD * k + d for k in (1, 2) for d in (-1, 1, 3)]
+    for lo in starts:
+        for length in (2, 20, 2 * PRESIEVE_PERIOD - 2, 2 * PRESIEVE_PERIOD + 2, 3 * PRESIEVE_PERIOD + 1):
+            mask = census._sieve_odd_segment(lo, lo + length, *basis)
+            assert np.array_equal(mask, flags[lo : lo + length : 2]), (lo, length)
+
+
+def test_segment_kernel_across_a_period_wrap(kernel_flags):
+    """Seeded segments that start within 1,000 slots of a period's end and
+    run past it, some past the next one too."""
+    flags, basis = kernel_flags
+    rng = random.Random(9)
+    for _ in range(40):
+        period_end = 2 * PRESIEVE_PERIOD * rng.randrange(1, 3)
+        lo = period_end - 2 * rng.randrange(1, 1000) + 1
+        length = 2 * rng.randrange(1000, 2 * PRESIEVE_PERIOD)
+        mask = census._sieve_odd_segment(lo, lo + length, *basis)
+        assert np.array_equal(mask, flags[lo : lo + length : 2]), (lo, length)
+
+
+def test_segment_kernel_default_length_near_full_scale():
+    """One 2**22 segment at the top of the paper's census, against the oracle."""
+    basis = census._odd_sieve_basis(sieve_flags(449_999))
+    lo = 190_000_000_001
+    hi = lo + DEFAULT_SEGMENT_LEN
+    mask = census._sieve_odd_segment(lo, hi, *basis)
+    assert int(np.count_nonzero(mask)) == prime_pi(hi - 1) - prime_pi(lo - 1)
+
+
+def test_segment_kernel_copies_its_pattern(kernel_flags):
+    """Sieving never writes through to the module's pre-sieve pattern."""
+    _, basis = kernel_flags
+    before = census._PRESIEVE_PATTERN.copy()
+    for lo in (3, 5, 17, 2 * PRESIEVE_PERIOD + 1, 10**6 + 1):
+        for length in (1000, 2 * PRESIEVE_PERIOD + 100):
+            census._sieve_odd_segment(lo, lo + length, *basis)
+    assert np.array_equal(census._PRESIEVE_PATTERN, before)
 
 
 def test_oversized_base_sieve_fails_before_allocating(tmp_path, monkeypatch):
