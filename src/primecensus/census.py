@@ -9,18 +9,25 @@ worker count or the segment length.
 The segment kernel is a pure function of (lo, hi, basis) and holds only
 odd values, one slot each.  It marks composites in four steps:
 
-- Pre-sieved start: the segment starts as a copy of a pattern, built at
-  import, in which the odd multiples of 3..17 are already cleared.  It
+- Pre-sieved start: the segment starts as a copy of a pattern, built on
+  first use, in which the odd multiples of 3..17 are already cleared.  It
   repeats every 3*5*7*11*13*17 = 255,255 slots and is read from slot
   ((lo - 1) // 2) mod 255,255; the six primes themselves are set back
-  when they lie in the segment.
+  when they lie in the segment.  The copy has one extra sink slot past
+  the segment's end, which absorbs the scatter's spare indices and is
+  never returned.
 - First hits: one int64 numpy pass over the rest of the basis gives
   every prime's first odd multiple in [max(lo, p*p), hi), as a slot index.
-- Small primes, from 19 to below T = slots // 64 (32,768 at the default
+- Small primes, from 19 to below T = slots // 128 (16,384 at the default
   2**22 segment), get one strided store each from that first hit.
-- Large primes hit the segment about 64 times at most.  They are marked
-  4,096 primes at a time by one scatter whose indices are a cumulative
-  sum over np.repeat'ed strides: the numpy form of a bucket sieve.
+- Large primes hit the segment about 128 times at most.  They are marked
+  one octave [P, 2P) at a time by one scatter whose indices are an outer
+  product: row k holds every prime's k-th hit, for k below
+  ceil(slots / P), and an index past the segment is clamped to the sink.
+  The hit-major order matters: the stores of one row climb through the
+  segment about in order, so they miss the cache less than the same
+  indices taken prime by prime, each prime sweeping the whole segment
+  again.  This is the numpy form of a bucket sieve.
   Pattern and buckets are the standard devices of segmented sieves
   (T. Oliveira e Silva, 2001; K. Walisch, primesieve).
 
@@ -37,6 +44,7 @@ disk or it is complete; a resume appends in place, covered by its checkpoint.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -60,9 +68,6 @@ CHECKPOINT_EVERY = 1000  # x values between the checkpoints of a census file
 # Largest base sieve (flags plus int64 prefix, 9 bytes per integer) to
 # attempt: n_max up to about 2.98e7, where the paper needs 449,999.
 BASE_SIEVE_MAX_BYTES = 1 << 28
-# Large primes are scattered this many at a time, so the index arrays of
-# one batch stay within about two megabytes (hits near 64 at T).
-_SCATTER_CHUNK = 4096
 # Every segment starts with the odd multiples of these primes cleared, from
 # a pattern whose period in odd slots is their product.
 _PRESIEVE_PRIMES = (3, 5, 7, 11, 13, 17)
@@ -137,16 +142,15 @@ def _odd_sieve_basis(flags: np.ndarray):
     return primes, primes * primes
 
 
+@functools.cache
 def _presieve_pattern() -> np.ndarray:
     """Two periods of odd slots, slot k for the value 2k + 1, with every odd
-    multiple of a _PRESIEVE_PRIMES prime cleared (the primes too)."""
+    multiple of a _PRESIEVE_PRIMES prime cleared (the primes too).  Built on
+    the first sieved segment, so processes that never sieve skip it."""
     pattern = np.ones(2 * _PRESIEVE_PERIOD, dtype=bool)
     for q in _PRESIEVE_PRIMES:
         pattern[(q - 1) // 2 :: q] = False  # strided stores: no int64 index array
     return pattern
-
-
-_PRESIEVE_PATTERN = _presieve_pattern()
 
 
 def _sieve_odd_segment(lo: int, hi: int, primes: np.ndarray, prime_squares: np.ndarray) -> np.ndarray:
@@ -155,13 +159,16 @@ def _sieve_odd_segment(lo: int, hi: int, primes: np.ndarray, prime_squares: np.n
     Slot j holds lo + 2j, and the odd multiples of an odd prime p are p
     slots apart.  The mask starts as a copy of the pre-sieve pattern from
     slot (lo - 1) // 2 on, so the primes up to 17 are done.  The other
-    primes below T = slots // 64 are marked with one strided store each;
-    the rest hit the segment about 64 times at most and are marked by an
-    index scatter, _SCATTER_CHUNK primes at a time.
+    primes below T = slots // 128 are marked with one strided store each.
+    The rest are marked one octave [P, 2P) at a time: an outer product
+    gives ceil(slots / P) rows of hits, row k holding each prime's k-th
+    hit, and every hit at or past the end is clamped to a sink slot that
+    the returned mask leaves out.
     """
     slots = (hi - lo) // 2
     offset = ((lo - 1) // 2) % _PRESIEVE_PERIOD
-    mask = np.resize(_PRESIEVE_PATTERN[offset : offset + _PRESIEVE_PERIOD], slots)  # a copy
+    # A copy with one slot more than the segment: mask[slots] is the sink.
+    mask = np.resize(_presieve_pattern()[offset : offset + _PRESIEVE_PERIOD], slots + 1)
     for q in _PRESIEVE_PRIMES:
         if lo <= q < hi:  # only in a segment that starts below 19
             mask[(q - lo) // 2] = True
@@ -173,25 +180,19 @@ def _sieve_odd_segment(lo: int, hi: int, primes: np.ndarray, prime_squares: np.n
     r += (r & 1) * primes
     first = np.maximum(r >> 1, (prime_squares[skip:cut] - lo) >> 1)
 
-    split = int(np.searchsorted(primes, slots // 64))
-    for p, j in zip(primes[:split].tolist(), first[:split].tolist()):
+    a = int(np.searchsorted(primes, slots // 128))
+    for p, j in zip(primes[:a].tolist(), first[:a].tolist()):
         mask[j::p] = False
-    for c in range(split, len(primes), _SCATTER_CHUNK):
-        p = primes[c : c + _SCATTER_CHUNK]
-        j = first[c : c + _SCATTER_CHUNK]
-        hits = (slots - j + p - 1) // p
-        live = hits > 0
-        p, j, hits = p[live], j[live], hits[live]
-        if not hits.size:
-            continue
-        # Running sum over the steps yields every hit: p within a prime's
-        # run, and at each run start the jump from the previous run's last hit.
-        steps = np.repeat(p, hits)
-        starts = np.cumsum(hits[:-1])
-        steps[0] = j[0]
-        steps[starts] = j[1:] - j[:-1] - (hits[:-1] - 1) * p[:-1]
-        mask[np.cumsum(steps)] = False
-    return mask
+    while a < len(primes):
+        low = int(primes[a])
+        z = int(np.searchsorted(primes, 2 * low))
+        # No prime in [low, 2 * low) hits the segment more than ceil(slots / low) times.
+        ix = np.multiply.outer(np.arange(-(-slots // low)), primes[a:z])
+        ix += first[a:z]  # in place: a second array per octave was measurably slower
+        np.minimum(ix, slots, out=ix)
+        mask[ix.ravel()] = False
+        a = z
+    return mask[:slots]
 
 
 def _segment_counts(lo, hi, squares, primes, prime_squares):

@@ -6,6 +6,8 @@ from math import isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primecensus import (
     CheckpointError,
@@ -68,7 +70,7 @@ def test_sweep_independent_of_segment_len():
     baseline = list(census_sweep(200))
     for segment_len in (1024, 4096, 65536):
         assert list(census_sweep(200, segment_len=segment_len)) == baseline
-    # At 2**14 the scatter threshold (slots // 64 = 128) is far below the
+    # At 2**14 the scatter threshold (slots // 128 = 64) is far below the
     # largest base prime (2999); the default length strides every prime.
     baseline = list(census_sweep(3000))
     for segment_len in (2048, 1 << 14):
@@ -76,7 +78,7 @@ def test_sweep_independent_of_segment_len():
 
 
 def test_segment_kernel_matches_base_sieve_on_short_segments():
-    """Short segments put the scatter threshold at 8..64, so most of the
+    """Short segments put the scatter threshold at 4..32, so most of the
     basis (primes up to 1999, some with no hit at all) is scattered."""
     limit = 2_000_000
     flags = sieve_flags(limit)
@@ -156,11 +158,64 @@ def test_segment_kernel_default_length_near_full_scale():
 def test_segment_kernel_copies_its_pattern(kernel_flags):
     """Sieving never writes through to the module's pre-sieve pattern."""
     _, basis = kernel_flags
-    before = census._PRESIEVE_PATTERN.copy()
+    before = census._presieve_pattern().copy()
     for lo in (3, 5, 17, 2 * PRESIEVE_PERIOD + 1, 10**6 + 1):
         for length in (1000, 2 * PRESIEVE_PERIOD + 100):
             census._sieve_odd_segment(lo, lo + length, *basis)
-    assert np.array_equal(census._PRESIEVE_PATTERN, before)
+    assert np.array_equal(census._presieve_pattern(), before)
+
+
+def assert_kernel_matches(flags, basis, lo, length):
+    """The kernel's mask for [lo, lo + length) has one entry per odd value,
+    none for the sink slot, and agrees with the base sieve."""
+    mask = census._sieve_odd_segment(lo, lo + length, *basis)
+    assert mask.shape == (length // 2,), (lo, length)
+    assert np.array_equal(mask, flags[lo : lo + length : 2]), (lo, length)
+
+
+@pytest.mark.parametrize("q", [19, 23, 37, 101, 127])
+@pytest.mark.parametrize("times", [1, 2])
+def test_segment_kernel_with_threshold_on_a_prime(kernel_flags, q, times):
+    """slots // 128 is exactly q, so q is the first banded prime and its
+    octave ends at 2q, or exactly 2q, the end of that octave."""
+    flags, basis = kernel_flags
+    rng = random.Random(q * times)
+    for extra in (0, 1, 127):
+        slots = 128 * times * q + extra
+        for lo in [3, 2 * q + 1] + [rng.randrange(3, KERNEL_LIMIT - 2 * slots) | 1 for _ in range(8)]:
+            assert_kernel_matches(flags, basis, lo, 2 * slots)
+
+
+def test_segment_kernel_below_128_slots_bands_every_prime(kernel_flags):
+    """With fewer than 128 slots the threshold is 0: every basis prime above
+    17 is marked by the octave scatter, most with a single hit or none."""
+    flags, basis = kernel_flags
+    rng = random.Random(128)
+    for slots in (1, 2, 18, 19, 64, 100, 127):
+        for lo in [3, 19, 37] + [rng.randrange(3, KERNEL_LIMIT - 2 * slots) | 1 for _ in range(20)]:
+            assert_kernel_matches(flags, basis, lo, 2 * slots)
+
+
+def test_segment_kernel_with_primes_beyond_the_segment(kernel_flags):
+    """Basis primes up to 1,427 against segments of 20..700 slots: the first
+    hit of most of them falls at or past the segment's end, the sink slot."""
+    flags, basis = kernel_flags
+    assert basis[0][-1] > 700
+    rng = random.Random(1427)
+    for _ in range(200):
+        slots = rng.randrange(20, 701)
+        lo = rng.randrange(KERNEL_LIMIT // 2, KERNEL_LIMIT - 2 * slots) | 1
+        assert_kernel_matches(flags, basis, lo, 2 * slots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.integers(1, KERNEL_LIMIT // 2 - 1), slots=st.integers(1, 40_000))
+def test_segment_kernel_property(kernel_flags, start, slots):
+    """Any odd lo and any length agree with the base sieve."""
+    flags, basis = kernel_flags
+    lo = 2 * start + 1
+    slots = min(slots, (KERNEL_LIMIT + 1 - lo) // 2)
+    assert_kernel_matches(flags, basis, lo, 2 * slots)
 
 
 def test_oversized_base_sieve_fails_before_allocating(tmp_path, monkeypatch):
