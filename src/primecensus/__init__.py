@@ -34,7 +34,6 @@ from .evaluation import (
     EvaluationSummary,
     MatchClass,
     SeriesPoint,
-    classify_match,
     difference_series,
     evaluate_difference_model,
     evaluate_model,

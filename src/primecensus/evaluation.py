@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from math import ceil, floor, fsum, ulp
+from math import fsum
 from typing import Iterable, List, NamedTuple, Optional
 
 import numpy as np
@@ -129,21 +129,14 @@ def difference_series(census: Iterable) -> List[SeriesPoint]:
 # ---------------------------------------------------------------------------
 
 
-def classify_match(prediction: float, true_count: int) -> MatchClass:
-    """Mutually exclusive classes with precedence exact > floor > ceil > none."""
-    if true_count <= 0:
-        raise DomainError(f"match class undefined for true count {true_count}")
-    if abs(prediction - true_count) <= EXACT_ULPS * ulp(true_count):
-        return MatchClass.EXACT
-    if floor(prediction) == true_count:
-        return MatchClass.FLOOR
-    if ceil(prediction) == true_count:
-        return MatchClass.CEIL
-    return MatchClass.NONE
-
-
 def _classify(preds: np.ndarray, trues: np.ndarray) -> np.ndarray:
-    """classify_match over arrays: each element's index into _MATCH_CLASSES."""
+    """Each prediction's match class, as an index into _MATCH_CLASSES.
+
+    The classes exclude each other, with precedence exact > floor > ceil >
+    none: exact within EXACT_ULPS units in the last place of the true
+    count, floor when floor(prediction) equals it, ceil when
+    ceil(prediction) does.
+    """
     trues = trues.astype(np.float64)
     conditions = [
         np.abs(preds - trues) <= EXACT_ULPS * np.spacing(trues),

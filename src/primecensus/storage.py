@@ -2,21 +2,22 @@
 
 Census CSV: header ``x,x_squared,prime_count``, ascending consecutive x,
 plain decimal integers (digits with an optional leading ``-``) that fit
-in int64, newline-terminated; blank lines are skipped.  ``read_census``
-returns the whole file as one census table, an int64 record array with
-fields x, x_squared and prime_count.  ``write_census`` hands a record
-stream to ``census.write_census_file``, the one census writer, so a
-census under its final name is always complete.  Evaluation CSV: header
-``EVALUATION_HEADER``, one row per census row and model, written by
-``write_evaluation_csv`` from the ``Scores`` arrays of each model.
-Constants file: one ``model.constant=value`` per line, ``#`` comments
-allowed.
+in int64; lines end in ``\\n``, ``\\r\\n`` or a lone ``\\r``, and blank
+lines are skipped.  ``read_census`` reads the file as bytes, finds the
+first malformed line of each block of lines with byte-level checks,
+parses the lines above it with ``np.fromstring`` and checks their rows;
+it returns the whole file as one census table, an int64 record array
+with fields x, x_squared and prime_count.
+``write_census`` hands a record stream to ``census.write_census_file``,
+the one census writer, so a census under its final name is always
+complete.  Evaluation CSV: header ``EVALUATION_HEADER``, one row per
+census row and model, written by ``write_evaluation_csv`` from the
+``Scores`` arrays of each model.  Constants file: one
+``model.constant=value`` per line, ``#`` comments allowed.
 """
 
 from __future__ import annotations
 
-import io
-import re
 from pathlib import Path
 from typing import Iterable
 
@@ -38,11 +39,11 @@ EVALUATION_HEADER = "x,true_count,model,prediction,relative_error,match_class"
 # Python numbers would be held all at once, next to the census table.
 _EVALUATION_BLOCK = 8192
 
-# The longest prefix of census text whose lines are each blank or three
-# integer fields: one anchored possessive match, so it never backtracks.
-# [0-9], not \d, which would accept non-ASCII digits.
-_VALID_LINES = re.compile(r"(?:(?:-?[0-9]++,-?[0-9]++,-?[0-9]++)?\n)*+")
-_LONG_FIELD = r"-?[0-9]{19,}"  # only these can fall outside int64
+# Census text is validated and parsed this many bytes at a time, in whole
+# lines, so the block's arrays stay small next to the file and the table.
+_BLOCK = 1 << 17
+_BODY_BYTES = b"0123456789,\n-"  # any other byte fails its line
+_SEPARATORS_TO_SPACES = bytes.maketrans(b",\n", b"  ")
 
 
 def format_real(value: float) -> str:
@@ -66,56 +67,96 @@ def read_census(path) -> np.recarray:
     The first defective line raises a distinct error kind: bad header,
     malformed row (not three plain int64 fields, or a negative count),
     x_squared != x*x, non-ascending x, or a gap in x.  A non-ASCII byte
-    (a byte-order mark, say) is read as U+FFFD, so it fails its line.
+    (a byte-order mark, say) fails its line and is shown as U+FFFD.
     """
-    with open(path, "r", encoding="ascii", errors="replace") as fh:  # "\r\n" arrives as "\n"
-        header = fh.readline().rstrip("\r\n")
-        if header != CENSUS_HEADER:
-            raise CensusHeaderError(f"expected header {CENSUS_HEADER!r}, got {header!r}", line=1)
-        body = fh.read()
-    if body and not body.endswith("\n"):
-        body += "\n"
-    end = _VALID_LINES.match(body).end()  # the start of the first malformed line
-    try:
-        table = _parse_rows(body[:end])
-    except ValueError:  # np.loadtxt refuses a field outside int64
-        int64 = np.iinfo(np.int64)
-        huge = (m for m in re.finditer(_LONG_FIELD, body[:end]) if not int64.min <= int(m.group()) <= int64.max)
-        end = body.rfind("\n", 0, next(huge).start()) + 1
-        table = _parse_rows(body[:end])
-    _check_rows(table, body)  # a defect above the malformed line comes first
-    if end < len(body):
-        line = body[end : body.index("\n", end)]
-        raise CensusRowError(f"expected three plain int64 fields, got {line!r}", line=body.count("\n", 0, end) + 2)
-    return table
+    data = Path(path).read_bytes()
+    if b"\r" in data:  # "\r\n" and a lone "\r" end a line, as in text mode
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    pos = data.index(b"\n") + 1
+    header = data[: pos - 1].decode("ascii", "replace")
+    if header != CENSUS_HEADER:
+        raise CensusHeaderError(f"expected header {CENSUS_HEADER!r}, got {header!r}", line=1)
+    parts = [np.empty(0, dtype=np.int64)]  # the fields of each block, row by row
+    prev, line = None, 2  # the x of the last row parsed; the line number of the block's first line
+    while pos < len(data):
+        stop = data.rfind(b"\n", pos, pos + _BLOCK) + 1 or data.index(b"\n", pos + _BLOCK) + 1
+        block, pos = data[pos:stop], stop
+        defect, ends, lines = _first_defect(block)
+        cut = block.rfind(b"\n", 0, defect) + 1  # the start of the first malformed line
+        fields = np.fromstring(block[:cut].translate(_SEPARATORS_TO_SPACES), dtype=np.int64, sep=" ")
+        fields = fields[: 3 * np.searchsorted(ends, cut)]  # text of blank lines alone parses as [0]
+        rows = fields.reshape(-1, 3)
+        _check_rows(rows, prev, lambda i: line + block.count(b"\n", 0, ends[i]))
+        if cut < len(block):
+            text = block[cut : block.index(b"\n", cut)].decode("ascii", "replace")
+            raise CensusRowError(f"expected three plain int64 fields, got {text!r}", line=line + block.count(b"\n", 0, cut))
+        parts.append(fields)
+        prev = int(rows[-1, 0]) if len(rows) else prev
+        line += lines
+    del data  # free the file's bytes before the table is built
+    return census_table(np.concatenate(parts).view(CENSUS_DTYPE))
 
 
-def _parse_rows(text: str) -> np.recarray:
-    if text.count("\n") == len(text):  # no rows; np.loadtxt would warn
-        return census_table(())
-    lines = io.BytesIO(text.encode("ascii"))
-    return census_table(np.loadtxt(lines, dtype=CENSUS_DTYPE, delimiter=",", comments=None, ndmin=1))
+def _first_defect(block: bytes):
+    """Validate ``block``, whole lines of census text: the offset of the
+    first byte that breaks the field rules, or ``len(block)``; the offsets
+    of the newlines that end its rows, valid up to that line; and its
+    number of lines."""
+    stray = block.translate(None, _BODY_BYTES)  # its first byte is the block's first stray byte
+    defect = block.find(stray[:1]) if stray else len(block)
+    a = np.frombuffer(block, dtype=np.uint8)
+    marks = np.flatnonzero(a <= ord("-"))  # every comma, newline and dash, and stray bytes below them
+    dash = a[marks] == ord("-")
+    # A dash must open a field and precede a digit.  At offset 0, a[-1] is
+    # the block's closing newline, which opens a field as well.
+    at = marks[dash]
+    before, after = a[at - 1], a[at + 1]
+    signs = ((before == ord(",")) | (before == ord("\n"))) & (after >= ord("0")) & (after <= ord("9"))
+    seps = marks[~dash]
+    newline = a[seps] == ord("\n")
+    width = seps - np.concatenate(([-1], seps[:-1])) - 1  # the length of the field each separator closes
+    blank = newline & (width == 0) & np.concatenate(([True], newline[:-1]))
+    lines = int(np.count_nonzero(newline))
+    seps, newline, width = seps[~blank], newline[~blank], width[~blank]
+    # Each row is a comma, a comma and a newline, each closing a field.  A
+    # stray byte below the comma counts as a comma here: it is a defect anyway.
+    wrong = newline.copy()
+    wrong[2::3] = ~newline[2::3]
+    wrong |= width == 0
+    for found in (at[~signs], seps[wrong]):
+        if found.size:
+            defect = min(defect, int(found[0]))
+    # Only a field of 19 characters or more can fall outside int64; those
+    # closed before the first defect hold nothing but digits and a sign.
+    for j in np.flatnonzero((width >= 19) & (seps <= defect)).tolist():
+        if not -(2**63) <= int(block[seps[j] - width[j] : seps[j]]) < 2**63:
+            defect = int(seps[j])
+            break
+    return defect, seps[2::3], lines
 
 
-def _check_rows(table: np.recarray, body: str) -> None:
-    """Raise for the first row with a negative count, a wrong square or an
-    x that is not one above the row before, checked in that order."""
-    x = table.x
+def _check_rows(rows: np.ndarray, prev, line_of) -> None:
+    """Raise for the first of ``rows``, (x, x_squared, prime_count) triples,
+    with a negative count, a wrong square or an x that is not one above the
+    row before (``prev`` for the first row, unless None), checked in that
+    order; ``line_of(i)`` is the line number of row i."""
+    x, square, count = rows.T
+    step = x - np.concatenate((x[:1] - 1 if prev is None else [prev], x[:-1]))
     # Beyond MAX_SQUARE_BASE an int64 x*x would wrap around.
-    bad = (table.prime_count < 0) | (x > MAX_SQUARE_BASE) | (x < -MAX_SQUARE_BASE) | (table.x_squared != x * x)
-    bad[1:] |= x[1:] != x[:-1] + 1
-    rows = np.flatnonzero(bad)
-    if not rows.size:
+    bad = (count < 0) | (x > MAX_SQUARE_BASE) | (x < -MAX_SQUARE_BASE) | (square != x * x) | (step != 1)
+    found = np.flatnonzero(bad)
+    if not found.size:
         return
-    i = int(rows[0])
-    x, square, count = table[i].tolist()
-    newlines = np.flatnonzero(np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8) == ord("\n"))
-    line = int(np.flatnonzero(np.diff(newlines, prepend=-1) > 1)[i]) + 2  # blank lines hold no row
+    i = int(found[0])
+    x, square, count = rows[i].tolist()
+    line = line_of(i)
     if count < 0:
         raise CensusRowError(f"negative prime_count {count}", line=line)
     if square != x * x:
         raise CensusSquareError(f"x_squared={square} but x*x={x * x}", line=line)
-    prev = int(table.x[i - 1])
+    prev = int(rows[i - 1, 0]) if i else prev
     if x <= prev:
         raise CensusOrderError(f"x={x} after x={prev} is not ascending", line=line)
     raise CensusGapError(f"x jumps {prev} -> {x}", line=line)

@@ -214,7 +214,8 @@ FULL_SCALE_ARE = {
 
 @pytest.mark.skipif(
     not FULL_SCALE,
-    reason="full-scale gate: set PRIMECENSUS_FULL_SCALE=1 and budget about 15 min of one core "
+    reason="full-scale gate: set PRIMECENSUS_FULL_SCALE=1 and budget about 345 s with PRIMECENSUS_WORKERS=2 "
+    "on a 2-core Xeon, about twice that with the default one worker "
     "(sieve to about 2.02e11; PRIMECENSUS_FULL_CENSUS can point at a finished CSV)",
 )
 def test_criterion_8_full_scale(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from math import ceil, floor, ulp
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from primecensus import (
     DomainError,
     MatchClass,
-    classify_match,
     difference_series,
     evaluate_difference_model,
     evaluate_model,
@@ -16,7 +16,7 @@ from primecensus import (
     ratio_series,
 )
 from primecensus.census import CensusRecord
-from primecensus.evaluation import _classify, score
+from primecensus.evaluation import EXACT_ULPS, _classify, score
 
 # a * x**b with a = b = 1 predicts x itself, so a row (x, count) scores
 # a relative error of |x - count| / count.
@@ -29,6 +29,20 @@ def _rec(x, count):
 
 def _classes(preds, trues):
     return [list(MatchClass)[code] for code in _classify(preds, trues)]
+
+
+def classify_match(prediction: float, true_count: int) -> MatchClass:
+    """The scalar reference for ``_classify``: mutually exclusive classes
+    with precedence exact > floor > ceil > none."""
+    if true_count <= 0:
+        raise DomainError(f"match class undefined for true count {true_count}")
+    if abs(prediction - true_count) <= EXACT_ULPS * ulp(true_count):
+        return MatchClass.EXACT
+    if floor(prediction) == true_count:
+        return MatchClass.FLOOR
+    if ceil(prediction) == true_count:
+        return MatchClass.CEIL
+    return MatchClass.NONE
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +139,15 @@ def test_classify_match_examples():
     assert classify_match(44026.0, 44026) is MatchClass.EXACT
     assert classify_match(44025.3, 44026) is MatchClass.CEIL
     assert classify_match(44030.0, 44026) is MatchClass.NONE
+    preds = np.array([44026.3870890, 44026.0, 44025.3, 44030.0])
+    expected = [MatchClass.FLOOR, MatchClass.EXACT, MatchClass.CEIL, MatchClass.NONE]
+    assert _classes(preds, np.full(4, 44026, dtype=np.int64)) == expected
 
 
 def test_classify_match_integer_prediction_prefers_exact():
     # floor and ceil both match an integer prediction; exact takes precedence.
     assert classify_match(7.0, 7) is MatchClass.EXACT
+    assert _classes(np.array([7.0]), np.array([7])) == [MatchClass.EXACT]
 
 
 def test_classify_match_exact_means_equal_at_full_scale():
@@ -164,6 +182,7 @@ def test_vector_classify_agrees_with_classify_match():
 @settings(max_examples=200, deadline=None)
 def test_classify_match_is_total_and_consistent(prediction, true_count):
     cls = classify_match(prediction, true_count)
+    assert _classes(np.array([prediction]), np.array([true_count], dtype=np.int64)) == [cls]
     if cls is MatchClass.EXACT:
         assert abs(prediction - true_count) < 1e-9 * true_count
     elif cls is MatchClass.FLOOR:

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -23,6 +24,7 @@ from primecensus import (
     write_constants,
 )
 from primecensus.census import CensusRecord
+from primecensus import storage
 from primecensus.storage import format_real
 
 
@@ -237,11 +239,12 @@ def _reference_read(text):
     return rows
 
 
-_DEFECTS = st.sampled_from(
-    ["", "1,1,1", "5,25", "5,25,7,1", "a,4,2", "+5,25,1", "-3,9,1", "7,49,-2", "6,35,1",
-     "4294967296,0,5", "3037000499,9223372030926249001,3", "99999999999999999999,1,1",
-     "2,4,9223372036854775808", "2,4,9223372036854775807", "-", "2,,4"]
-)
+_DEFECT_LINES = [
+    "", "1,1,1", "5,25", "5,25,7,1", "a,4,2", "+5,25,1", "-3,9,1", "7,49,-2", "6,35,1",
+    "4294967296,0,5", "3037000499,9223372030926249001,3", "99999999999999999999,1,1",
+    "2,4,9223372036854775808", "2,4,9223372036854775807", "-", "2,,4",
+]
+_DEFECTS = st.sampled_from(_DEFECT_LINES)
 
 
 @given(
@@ -268,3 +271,111 @@ def test_read_census_agrees_with_the_per_line_reference(tmp_path_factory, start,
     except (CensusRowError, CensusSquareError, CensusOrderError, CensusGapError, CensusHeaderError) as exc:
         got = (type(exc), exc.line)
     assert got == expected
+
+
+def _read_outcome(path):
+    try:
+        return read_census(path).tolist()
+    except (CensusRowError, CensusSquareError, CensusOrderError, CensusGapError, CensusHeaderError) as exc:
+        return (type(exc), exc.line)
+
+
+def _block_edges(lines):
+    """The indices into ``lines``, a census body, of the lines with which
+    read_census starts a new block (the first one excepted)."""
+    data = (HEADER + "\n".join(lines) + "\n").encode("latin-1")
+    pos, edges = len(HEADER), []
+    while True:
+        pos = data.rfind(b"\n", pos, pos + storage._BLOCK) + 1 or data.index(b"\n", pos + storage._BLOCK) + 1
+        if pos == len(data):
+            return edges
+        edges.append(data.count(b"\n", 0, pos) - 1)
+
+
+def _resumed_reference_read(lines, clean, clean_rows):
+    """``_reference_read`` of the census body ``lines``, which agree with
+    the valid body ``clean`` up to some line: the reference keeps only the
+    rows read so far, so it resumes from the row before that line, with
+    that row's line number, and skips the per-line work above it."""
+    at = next((i for i, (line, row) in enumerate(zip(lines, clean)) if line != row), min(len(lines), len(clean)))
+    skip = max(at - 1, 0)
+    got = _reference_read(HEADER + "\n".join(lines[skip:]) + "\n")
+    if isinstance(got, list):
+        return clean_rows[:skip] + got
+    kind, line = got
+    return kind, line + skip
+
+
+_INT64_EDGE_FIELDS = [
+    "9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+    "09223372036854775807", "09223372036854775808", "-09223372036854775808", "-09223372036854775809",
+    "000000000000000000001", "100000000000000000000", "-00000000000000000001", "-99999999999999999999",
+]
+
+
+def test_read_census_at_scale_agrees_with_the_per_line_reference(tmp_path):
+    """A 50k-row census, so defects sit at block edges and large offsets."""
+    rng = random.Random(20221)
+    clean = [f"{x},{x * x},{rng.randrange(10**12)}" for x in range(2, 50_002)]
+    edges = _block_edges(clean)
+    assert len(edges) >= 8
+
+    def edit(at, line, insert=False):
+        lines = list(clean)
+        lines[at : at + (not insert)] = [line]
+        return lines
+
+    cases = [("clean", clean)]
+    for defect in _DEFECT_LINES:
+        cases += [
+            (f"{defect!r} first", edit(0, defect)),
+            (f"{defect!r} last", edit(len(clean) - 1, defect)),
+            (f"{defect!r} inserted at random", edit(rng.randrange(len(clean)), defect, insert=True)),
+        ]
+    # Each block edge gets a defect on either side, and every defect sits at some edge.
+    for j, at in enumerate(edges):
+        closing = _DEFECT_LINES[2 * j % len(_DEFECT_LINES)]
+        opening = _DEFECT_LINES[(2 * j + 1) % len(_DEFECT_LINES)]
+        cases += [
+            (f"{closing!r} closes block {j}", edit(at - 1, closing)),
+            (f"{opening!r} opens block {j + 1}", edit(at, opening, insert=True)),
+        ]
+    # Runs of blank lines at the start, across a block edge and at the end;
+    # a run longer than a block; a defect whose line number counts them.
+    mid, late = edges[1], edges[-1]
+    blanks = [""] * 3 + clean[:mid] + [""] * 4 + clean[mid:late] + ["6,35,1"] + clean[late:] + [""] * 5
+    cases += [
+        ("blank runs", blanks[: late + 7] + blanks[late + 8 :]),
+        ("blank runs, then a defect", blanks),
+        ("a run of blank lines longer than a block", clean[:mid] + [""] * (storage._BLOCK + 10) + ["7,49,2"]),
+    ]
+    # A non-ASCII byte inside a row far into the file.
+    row = clean[late + 3]
+    cases.append(("non-ASCII byte", edit(late + 3, row[:2] + "\u00e9" + row[2:])))
+    # Fields of 19 to 21 characters near the int64 limits, in each column,
+    # and a dash before or in place of each character of a row: on the first
+    # line, which opens a block too, of a census cut after the first edge.
+    head = clean[: edges[0] + 2]
+    for field in _INT64_EDGE_FIELDS:
+        cases += [
+            (f"count {field}", [f"2,4,{field}"] + head[1:]),
+            (f"x_squared {field}", [f"2,{field},5"] + head[1:]),
+            (f"x {field}", [f"{field},4,5"] + head[1:]),
+        ]
+    cases.append(("x_squared with leading zeros", ["2,000000000000000000004,9"] + head[1:]))
+    row = head[0]
+    for i in range(len(row) + 1):
+        cases.append((f"dash inserted at {i}", [row[:i] + "-" + row[i:]] + head[1:]))
+    for i in range(len(row)):
+        cases.append((f"dash in place of {i}", [row[:i] + "-" + row[i + 1 :]] + head[1:]))
+
+    clean_rows = _reference_read(HEADER + "\n".join(clean) + "\n")
+    assert len(clean_rows) == len(clean)
+    path = tmp_path / "rows.csv"
+    for label, lines in cases:
+        text = HEADER + "\n".join(lines) + "\n"
+        expected = _resumed_reference_read(lines, clean, clean_rows)
+        # "\r\n" and a lone "\r" end a line as "\n" does.
+        for newline in ("\n", "\r\n", "\r") if label.startswith("blank runs") else ("\n",):
+            path.write_bytes(text.replace("\n", newline).encode("latin-1"))
+            assert _read_outcome(path) == expected, (label, newline)
