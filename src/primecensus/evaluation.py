@@ -14,13 +14,13 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from math import fsum
 from typing import Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
 from .census import census_table
 from .errors import DomainError
+from .fitting import exact_sum
 from .models import DIFFERENCE_LINE, ModelSpec, model_spec, predict
 
 # A prediction within this many units in the last place of the true count
@@ -79,8 +79,10 @@ def census_columns(census: Iterable, x_min: Optional[int] = None, x_max: Optiona
     """The int64 x and prime_count columns of a census, in census order, for
     the rows with x_min <= x <= x_max (None leaves a side open)."""
     table = census_table(census)
-    keep = (table.x >= (-np.inf if x_min is None else x_min)) & (table.x <= (np.inf if x_max is None else x_max))
-    return table.x[keep], table.prime_count[keep]
+    keep = None if x_min is None else table.x >= x_min
+    if x_max is not None:
+        keep = table.x <= x_max if keep is None else keep & (table.x <= x_max)
+    return (table.x, table.prime_count) if keep is None else (table.x[keep], table.prime_count[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +172,7 @@ def _summarize(spec: ModelSpec, scores: Scores) -> EvaluationSummary:
         kind=spec.kind,
         constants=dict(spec.constants),
         n_rows=int(rel.size),
-        average_relative_error=fsum(rel) / rel.size,
+        average_relative_error=exact_sum(rel) / rel.size,
         exact=exact,
         floor=floors,
         ceil=ceils,

@@ -3,8 +3,8 @@
 All fits are ordinary least squares on transformed coordinates (ln x,
 ln v, arcosh v), which keeps them deterministic and solver-free.  Every
 fit takes (x, v) points, as a sequence of pairs or an (n, 2) array, and
-works on float64 arrays; sums use math.fsum so half-million-point
-regressions stay stable.
+works on float64 arrays; every sum is ``exact_sum``, math.fsum's correctly
+rounded sum taken by numpy, so half-million-point regressions stay stable.
 """
 
 from __future__ import annotations
@@ -27,22 +27,41 @@ class FitResult:
     domain: Tuple[float, float]  # (x_min, x_max) of the input x values
 
 
+def exact_sum(values) -> float:
+    """math.fsum of a float array, bit for bit, in numpy: each value's
+    53-bit integer mantissa is split into a 27-bit (signed) and a 26-bit
+    half, np.bincount sums each half per exponent (exact: with at most
+    2**26 values every bucket stays below 2**53), and the buckets fold
+    into one Python int, rounded to a float once.  A NaN, an infinity or
+    a sum that could reach 2**1000 goes to math.fsum, errors and all."""
+    a = np.asarray(values, dtype=np.float64).ravel()
+    top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))  # NaN if any value is
+    if not (top * a.size < 2.0**1000 and a.size <= 1 << 26):
+        return fsum(a.tolist())
+    m, e = np.frexp(a)  # a == m * 2**e, and m * 2**53 is an integer
+    base = int(e.min(initial=0))
+    high = np.trunc(np.ldexp(m, 27))  # m * 2**53 == high * 2**26 + (the low half)
+    halves = (np.bincount(e - base, weights=w).tolist() for w in (high, np.ldexp(m, 53) - np.ldexp(high, 26)))
+    total = sum(((int(h) << 26) + int(l)) << k for k, (h, l) in enumerate(zip(*halves)))  # in 2**(base - 53)
+    return float(total << (base - 53)) if base >= 53 else total / (1 << (53 - base))
+
+
 def _ols(ts: np.ndarray, vs: np.ndarray, xs: np.ndarray) -> FitResult:
     n = len(ts)
     if n < 2:
         raise SingularDesignError(f"need at least 2 points, got {n}")
-    t_mean = fsum(ts.tolist()) / n
-    v_mean = fsum(vs.tolist()) / n
+    t_mean = exact_sum(ts) / n
+    v_mean = exact_sum(vs) / n
     dt, dv = ts - t_mean, vs - v_mean
-    sxx = fsum((dt * dt).tolist())
+    sxx = exact_sum(dt * dt)
     if sxx == 0.0:
         raise SingularDesignError("all regressors equal; design is singular")
-    sxy = fsum((dt * dv).tolist())
+    sxy = exact_sum(dt * dv)
     slope = sxy / sxx
     intercept = v_mean - slope * t_mean
     res = vs - (slope * ts + intercept)
-    ss_res = fsum((res * res).tolist())
-    ss_tot = fsum((dv * dv).tolist())
+    ss_res = exact_sum(res * res)
+    ss_tot = exact_sum(dv * dv)
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
     return FitResult(
         slope=slope,

@@ -11,13 +11,15 @@ with fields x, x_squared and prime_count.
 ``write_census`` hands a record stream to ``census.write_census_file``,
 the one census writer, so a census under its final name is always
 complete.  Evaluation CSV: header ``EVALUATION_HEADER``, one row per
-census row and model, written by ``write_evaluation_csv`` from the
-``Scores`` arrays of each model.  Constants file: one
-``model.constant=value`` per line, ``#`` comments allowed.
+census row and model, written by ``write_evaluation_csv`` from each
+model's ``Scores`` a block at a time, each column's text from the repr
+of its block as a list: floats as their shortest round-trip repr.
+Constants file: one ``model.constant=value`` per line, ``#`` comments allowed.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -217,10 +219,11 @@ def write_constants(path, constants_by_kind: dict, comment: str | None = None) -
 def write_evaluation_csv(path, scored: Iterable) -> None:
     """Write the header, then one row per score of each (kind, Scores) pair
     in ``scored``, in order."""
-    labels = [match.value for match in MatchClass]
+    labels = np.array([match.value for match in MatchClass], dtype=object)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(EVALUATION_HEADER + "\n")
         for kind, scores in scored:
             for start in range(0, len(scores.x), _EVALUATION_BLOCK):
-                block = (column[start : start + _EVALUATION_BLOCK].tolist() for column in scores)
-                fh.writelines(f"{x},{t},{kind},{p!r},{r!r},{labels[c]}\n" for x, t, p, r, c in zip(*block))
+                *numbers, match = (column[start : start + _EVALUATION_BLOCK] for column in scores)
+                x, t, p, r = (repr(column.tolist())[1:-1].split(", ") for column in numbers)
+                fh.write("\n".join(map(",".join, zip(x, t, repeat(kind), p, r, labels[match]))) + "\n")

@@ -16,7 +16,8 @@ from primecensus import (
     ratio_series,
 )
 from primecensus.census import CensusRecord
-from primecensus.evaluation import EXACT_ULPS, _classify, score
+from primecensus.census import census_table
+from primecensus.evaluation import EXACT_ULPS, _classify, census_columns, score
 
 # a * x**b with a = b = 1 predicts x itself, so a row (x, count) scores
 # a relative error of |x - count| / count.
@@ -48,6 +49,27 @@ def classify_match(prediction: float, true_count: int) -> MatchClass:
 # ---------------------------------------------------------------------------
 # Series
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "x_min, x_max, kept",
+    [
+        (None, None, range(2, 12)),
+        (5, None, range(5, 12)),
+        (None, 5, range(2, 6)),
+        (4, 8, range(4, 9)),
+        (8, 4, range(0)),
+        (-(10**30), 10**30, range(2, 12)),
+        (10**30, None, range(0)),
+        (None, -(10**30), range(0)),
+    ],
+)
+def test_census_columns_keeps_the_rows_within_the_bounds(x_min, x_max, kept):
+    table = census_table([_rec(x, 3 * x) for x in range(2, 12)])
+    xs, counts = census_columns(table, x_min, x_max)
+    assert xs.tolist() == list(kept) and counts.tolist() == [3 * x for x in kept]
+    if x_min is None and x_max is None:  # the table's own columns, not copies
+        assert np.shares_memory(xs, table) and np.shares_memory(counts, table)
 
 
 def test_ratio_series_values():

@@ -1,4 +1,7 @@
 import math
+import re
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,11 @@ from primecensus import (
     fit_power,
     power_coefficient,
 )
+from primecensus import fitting
+from primecensus.census import CENSUS_DTYPE
+from primecensus.evaluation import score
+from primecensus.fitting import exact_sum
+from primecensus.models import COUNT_MODEL_KINDS, model_spec
 
 
 def test_log_linear_exact_recovery():
@@ -156,3 +164,106 @@ def test_array_fits_agree_with_the_scalar_loop(points):
         assert fit.intercept == pytest.approx(intercept, rel=1e-9, abs=1e-9 * scale)
         assert fit.r_squared == pytest.approx(r_squared, rel=1e-9, abs=1e-9)
         assert fit.n_points == len(points) and fit.domain == (min(xs), max(xs))
+
+
+# ---------------------------------------------------------------------------
+# exact_sum against math.fsum
+# ---------------------------------------------------------------------------
+
+
+def assert_same_as_fsum(values):
+    """exact_sum gives math.fsum's float bit for bit, or raises its error
+    with its message; only input off the exact path (a NaN or infinity, or
+    a sum that could reach 2**1000) reaches math.fsum."""
+    a = np.asarray(values, dtype=np.float64)
+    try:
+        expected = math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        expected = exc
+    with np.errstate(over="ignore"):
+        in_range = bool(np.isfinite(a).all()) and float(np.abs(a).max(initial=0.0)) * a.size < 2.0**1000
+    with mock.patch.object(fitting, "fsum", wraps=math.fsum) as fallback:
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected), match=re.escape(str(expected))):
+                exact_sum(a)
+        else:
+            assert struct.pack("<d", exact_sum(a)) == struct.pack("<d", expected)
+    assert fallback.called == (not in_range)
+
+
+@given(st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=80))
+@settings(max_examples=300, deadline=None)
+def test_exact_sum_is_fsum_from_subnormal_to_1e300(values):
+    assert_same_as_fsum(values)
+
+
+@given(
+    st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=40),
+    st.lists(st.floats(min_value=-1e-300, max_value=1e-300), max_size=10),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_exact_sum_is_fsum_under_heavy_cancellation(values, crumbs, rng):
+    # Each value cancels against its negation and its neighbours in ulps,
+    # so the sum is made of the smallest bits of every value.
+    mixed = values + [-v for v in values] + [math.nextafter(v, 0.0) - v for v in values] + crumbs
+    rng.shuffle(mixed)
+    assert_same_as_fsum(mixed)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [-0.0],
+        [-0.0, -0.0, -0.0],
+        [0.0, -0.0],
+        [0.0] * 1000,
+        [5e-324],
+        [5e-324] * 7 + [-5e-324],
+        [5e-324, 1e300, -1e300],
+        [2.0**-1022, -(2.0**-1074)],
+        [1.0, 1e100, 1.0, -1e100],
+        [0.1] * 10,
+        [float("nan")],
+        [1.0, float("nan"), 2.0],
+        [float("inf"), 1.0],
+        [float("-inf"), -1e308],
+        [float("inf"), float("-inf")],
+        [float("inf"), 1e308, 1e308],
+        [1e308, 1e308],
+        [1e308, 1e308, -1e308],
+        [-1.7976931348623157e308, -1.7976931348623157e308],
+        [1.7976931348623157e308, 9.9e291],
+        [2.0**1000, -(2.0**1000), 1.0],
+        [2.0**999, 2.0**999, 3.0],
+        [2.0**998] * 3,
+    ],
+)
+def test_exact_sum_is_fsum_at_the_edges(values):
+    assert_same_as_fsum(values)
+
+
+def test_exact_sum_reads_any_float_array():
+    points = np.arange(12.0).reshape(3, 4) / 7.0
+    assert exact_sum(points) == math.fsum(points.ravel().tolist())
+    assert exact_sum(points[:, 1]) == math.fsum(points[:, 1].tolist())  # a strided column
+    assert exact_sum([1, 2, 3]) == 6.0
+
+
+@pytest.fixture(scope="module")
+def scores_450k():
+    """The six count models' scores on a seeded census of x = 2..449,999
+    whose counts follow the custom_ratio curve within +-5%."""
+    x = np.arange(2, 450_000)
+    curve = (x * x - x) / (2.0038 * np.log(x) - 1.0932)
+    table = np.empty(x.size, dtype=CENSUS_DTYPE)
+    table["x"], table["x_squared"] = x, x * x
+    table["prime_count"] = np.rint(curve * np.random.default_rng(11).uniform(0.95, 1.05, x.size))
+    return [score(table, model_spec(kind)) for kind in COUNT_MODEL_KINDS]
+
+
+def test_exact_sum_is_fsum_on_the_450k_scores(scores_450k):
+    for scores in scores_450k:
+        assert_same_as_fsum(scores.relative_error)
+        assert_same_as_fsum(scores.prediction)

@@ -1,6 +1,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from primecensus import (
     write_constants,
 )
 from primecensus.census import CensusRecord
+from primecensus.evaluation import MatchClass, Scores
 from primecensus import storage
 from primecensus.storage import format_real
 
@@ -379,3 +381,47 @@ def test_read_census_at_scale_agrees_with_the_per_line_reference(tmp_path):
         for newline in ("\n", "\r\n", "\r") if label.startswith("blank runs") else ("\n",):
             path.write_bytes(text.replace("\n", newline).encode("latin-1"))
             assert _read_outcome(path) == expected, (label, newline)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation CSV
+# ---------------------------------------------------------------------------
+
+
+def _reference_evaluation_csv(path, scored):
+    """The scalar reference for ``write_evaluation_csv``: one f-string per
+    row, floats as their repr."""
+    labels = [match.value for match in MatchClass]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(storage.EVALUATION_HEADER + "\n")
+        for kind, scores in scored:
+            for x, t, p, r, c in zip(*(column.tolist() for column in scores)):
+                fh.write(f"{x},{t},{kind},{p!r},{r!r},{labels[c]}\n")
+
+
+SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e-05, 1e16, 1e22]
+
+
+def _scores(rows, seed):
+    """Seeded scores of ``rows`` rows, with every special float in the
+    prediction and relative_error columns of the first rows and at
+    scattered rows."""
+    rng = np.random.default_rng(seed)
+    x = np.arange(2, rows + 2, dtype=np.int64)
+    true = rng.integers(1, 2**40, rows)
+    pred = true * rng.uniform(0.5, 1.5, rows)
+    rel = np.abs(pred - true) / true
+    for column in (pred, rel):
+        specials = np.resize(SPECIAL_FLOATS, rows)
+        column[: len(SPECIAL_FLOATS)] = specials[: len(SPECIAL_FLOATS)]
+        spots = rng.integers(0, max(rows, 1), rows // 100)
+        column[spots] = specials[spots]
+    return Scores(x, true, pred, rel, rng.integers(0, len(MatchClass), rows))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193, 16385])
+def test_evaluation_csv_matches_the_per_row_reference(tmp_path, rows):
+    scored = [("custom_ratio", _scores(rows, seed=rows)), ("bertrand", _scores(rows, seed=rows + 1))]
+    storage.write_evaluation_csv(tmp_path / "block.csv", scored)
+    _reference_evaluation_csv(tmp_path / "row.csv", scored)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
