@@ -42,7 +42,7 @@ def exact_sum(values) -> float:
     base = int(e.min(initial=0))
     high = np.trunc(np.ldexp(m, 27))  # m * 2**53 == high * 2**26 + (the low half)
     halves = (np.bincount(e - base, weights=w).tolist() for w in (high, np.ldexp(m, 53) - np.ldexp(high, 26)))
-    total = sum(((int(h) << 26) + int(l)) << k for k, (h, l) in enumerate(zip(*halves)))  # in 2**(base - 53)
+    total = sum(((int(hi) << 26) + int(lo)) << k for k, (hi, lo) in enumerate(zip(*halves)))  # in 2**(base - 53)
     return float(total << (base - 53)) if base >= 53 else total / (1 << (53 - base))
 
 
