@@ -28,13 +28,13 @@ class FitResult:
 
 
 def exact_sum(values) -> float:
-    """math.fsum of a float array, bit for bit, in numpy: each value's
+    """math.fsum of a 1-d float array, bit for bit, in numpy: each value's
     53-bit integer mantissa is split into a 27-bit (signed) and a 26-bit
     half, np.bincount sums each half per exponent (exact: with at most
     2**26 values every bucket stays below 2**53), and the buckets fold
     into one Python int, rounded to a float once.  A NaN, an infinity or
     a sum that could reach 2**1000 goes to math.fsum, errors and all."""
-    a = np.asarray(values, dtype=np.float64).ravel()
+    a = np.asarray(values, dtype=np.float64)
     top = max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))  # NaN if any value is
     if not (top * a.size < 2.0**1000 and a.size <= 1 << 26):
         return fsum(a.tolist())

@@ -244,9 +244,8 @@ def test_exact_sum_is_fsum_at_the_edges(values):
     assert_same_as_fsum(values)
 
 
-def test_exact_sum_reads_any_float_array():
-    points = np.arange(12.0).reshape(3, 4) / 7.0
-    assert exact_sum(points) == math.fsum(points.ravel().tolist())
+def test_exact_sum_reads_columns_and_sequences():
+    points = np.arange(12.0).reshape(6, 2) / 7.0
     assert exact_sum(points[:, 1]) == math.fsum(points[:, 1].tolist())  # a strided column
     assert exact_sum([1, 2, 3]) == 6.0
 

@@ -402,7 +402,7 @@ def _reference_evaluation_csv(path, scored):
 SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e-05, 1e16, 1e22]
 
 
-def _scores(rows, seed):
+def _seeded_scores(rows, seed):
     """Seeded scores of ``rows`` rows, with every special float in the
     prediction and relative_error columns of the first rows and at
     scattered rows."""
@@ -421,7 +421,7 @@ def _scores(rows, seed):
 
 @pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193, 16385])
 def test_evaluation_csv_matches_the_per_row_reference(tmp_path, rows):
-    scored = [("custom_ratio", _scores(rows, seed=rows)), ("bertrand", _scores(rows, seed=rows + 1))]
+    scored = [("custom_ratio", _seeded_scores(rows, seed=rows)), ("bertrand", _seeded_scores(rows, seed=rows + 1))]
     storage.write_evaluation_csv(tmp_path / "block.csv", scored)
     _reference_evaluation_csv(tmp_path / "row.csv", scored)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
