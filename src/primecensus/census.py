@@ -18,9 +18,9 @@ odd values, one slot each.  It marks composites in four steps:
   never returned.
 - First hits: one int64 numpy pass over the rest of the basis gives
   every prime's first odd multiple in [max(lo, p*p), hi), as a slot index.
-- Small primes, from 19 to below T = slots // 128 (16,384 at the default
-  2**22 segment), get one strided store each from that first hit.
-- Large primes hit the segment about 128 times at most.  They are marked
+- Small primes, from 19 to below T = slots // 64 (16,384 at the default
+  2**21 segment), get one strided store each from that first hit.
+- Large primes hit the segment about 64 times at most.  They are marked
   one octave [P, 2P) at a time by one scatter whose indices are an outer
   product: row k holds every prime's k-th hit, for k below
   ceil(slots / P), and an index past the segment is clamped to the sink.
@@ -33,7 +33,10 @@ odd values, one slot each.  It marks composites in four steps:
 
 T follows the segment length and the pattern offset follows lo, so no
 state carries across segments and the output stays independent of how
-the range is cut.
+the range is cut.  The default 2**21 numbers give a 1 MB mask, half of a
+2 MB per-core L2, where a strided store costs a quarter to a half less
+than on a 2 MB mask.  A pool sweep keeps an in-order window of at most
+4 * workers submitted segments and submits one more as each result is drawn.
 
 ``write_census_file`` is the one writer of census files.  Its crash rule:
 a census under its final name is complete, or a checkpoint on disk covers
@@ -49,6 +52,7 @@ import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt, prod
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
@@ -63,7 +67,7 @@ from .errors import (
 )
 from .pi_oracle import MAX_SQUARE_BASE
 
-DEFAULT_SEGMENT_LEN = 1 << 22  # numbers per segment; half that many odd slots
+DEFAULT_SEGMENT_LEN = 1 << 21  # numbers per segment; half that many odd slots
 CHECKPOINT_EVERY = 1000  # x values between the checkpoints of a census file
 # Largest base sieve (flags plus int64 prefix, 9 bytes per integer) to
 # attempt: n_max up to about 2.98e7, where the paper needs 449,999.
@@ -159,7 +163,7 @@ def _sieve_odd_segment(lo: int, hi: int, primes: np.ndarray, prime_squares: np.n
     Slot j holds lo + 2j, and the odd multiples of an odd prime p are p
     slots apart.  The mask starts as a copy of the pre-sieve pattern from
     slot (lo - 1) // 2 on, so the primes up to 17 are done.  The other
-    primes below T = slots // 128 are marked with one strided store each.
+    primes below T = slots // 64 are marked with one strided store each.
     The rest are marked one octave [P, 2P) at a time: an outer product
     gives ceil(slots / P) rows of hits, row k holding each prime's k-th
     hit, and every hit at or past the end is clamped to a sink slot that
@@ -180,7 +184,7 @@ def _sieve_odd_segment(lo: int, hi: int, primes: np.ndarray, prime_squares: np.n
     r += (r & 1) * primes
     first = np.maximum(r >> 1, (prime_squares[skip:cut] - lo) >> 1)
 
-    a = int(np.searchsorted(primes, slots // 128))
+    a = int(np.searchsorted(primes, slots // 64))
     for p, j in zip(primes[:a].tolist(), first[:a].tolist()):
         mask[j::p] = False
     while a < len(primes):
@@ -222,6 +226,15 @@ def _init_segment_worker(n_max):
 def _segment_job(task):
     lo, hi, squares = task
     return _segment_counts(lo, hi, squares, *_WORKER_BASIS)
+
+
+def _in_order(pool, tasks, window):
+    """_segment_job's results for ``tasks`` in order, at most ``window`` submitted ahead."""
+    pending = [pool.submit(_segment_job, task) for task in islice(tasks, window)]
+    while pending:
+        done = pending.pop(0)
+        pending.extend(pool.submit(_segment_job, task) for task in islice(tasks, 1))
+        yield done.result()
 
 
 def _segment_tasks(cursor: int, limit: int, segment_len: int, start_x: int, n_max: int):
@@ -315,7 +328,7 @@ def _sweep(n_max, flags, workers, segment_len, start_x, cum_pi_start):
                 initializer=_init_segment_worker,
                 initargs=(n_max,),
             )
-            results = pool.map(_segment_job, tasks)
+            results = _in_order(pool, tasks, 4 * workers)
         for total, boundary_counts in results:
             for x, upto_square in boundary_counts:
                 pi_x2 = 1 + cum_odd + upto_square

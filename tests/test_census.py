@@ -70,7 +70,7 @@ def test_sweep_independent_of_segment_len():
     baseline = list(census_sweep(200))
     for segment_len in (1024, 4096, 65536):
         assert list(census_sweep(200, segment_len=segment_len)) == baseline
-    # At 2**14 the scatter threshold (slots // 128 = 64) is far below the
+    # At 2**14 the scatter threshold (slots // 64 = 128) is far below the
     # largest base prime (2999); the default length strides every prime.
     baseline = list(census_sweep(3000))
     for segment_len in (2048, 1 << 14):
@@ -78,7 +78,7 @@ def test_sweep_independent_of_segment_len():
 
 
 def test_segment_kernel_matches_base_sieve_on_short_segments():
-    """Short segments put the scatter threshold at 4..32, so most of the
+    """Short segments put the scatter threshold at 8..64, so most of the
     basis (primes up to 1999, some with no hit at all) is scattered."""
     limit = 2_000_000
     flags = sieve_flags(limit)
@@ -92,14 +92,19 @@ def test_segment_kernel_matches_base_sieve_on_short_segments():
         assert np.array_equal(mask, flags[lo:hi:2]), (lo, hi)
 
 
-def test_segment_kernel_default_length_at_1e10():
-    """One full-length segment with the full-scale basis, against the oracle."""
+def assert_full_basis_segment_matches_oracle(lo, length):
+    """One segment sieved with the full-scale basis has as many primes as
+    the oracle counts in [lo, lo + length)."""
     basis = census._odd_sieve_basis(sieve_flags(449_999))
-    lo = 10**10 + 1
-    hi = lo + DEFAULT_SEGMENT_LEN
+    hi = lo + length
     assert isqrt(hi) < 449_999
     mask = census._sieve_odd_segment(lo, hi, *basis)
     assert int(np.count_nonzero(mask)) == prime_pi(hi - 1) - prime_pi(lo - 1)
+
+
+def test_segment_kernel_default_length_at_1e10():
+    """One full-length segment with the full-scale basis, against the oracle."""
+    assert_full_basis_segment_matches_oracle(10**10 + 1, DEFAULT_SEGMENT_LEN)
 
 
 PRESIEVE_PERIOD = 3 * 5 * 7 * 11 * 13 * 17  # odd slots; twice as many integers
@@ -147,12 +152,15 @@ def test_segment_kernel_across_a_period_wrap(kernel_flags):
 
 
 def test_segment_kernel_default_length_near_full_scale():
-    """One 2**22 segment at the top of the paper's census, against the oracle."""
-    basis = census._odd_sieve_basis(sieve_flags(449_999))
-    lo = 190_000_000_001
-    hi = lo + DEFAULT_SEGMENT_LEN
-    mask = census._sieve_odd_segment(lo, hi, *basis)
-    assert int(np.count_nonzero(mask)) == prime_pi(hi - 1) - prime_pi(lo - 1)
+    """One default-length segment at the top of the paper's census, against the oracle."""
+    assert_full_basis_segment_matches_oracle(190_000_000_001, DEFAULT_SEGMENT_LEN)
+
+
+def test_segment_kernel_2_22_length_near_full_scale():
+    """One 2**22 segment, twice the default, at the top of the paper's
+    census: T = slots // 64 is 32,768 there, so primes the default length
+    scatters get strided stores."""
+    assert_full_basis_segment_matches_oracle(190_000_000_001, 1 << 22)
 
 
 def test_segment_kernel_copies_its_pattern(kernel_flags):
@@ -176,22 +184,22 @@ def assert_kernel_matches(flags, basis, lo, length):
 @pytest.mark.parametrize("q", [19, 23, 37, 101, 127])
 @pytest.mark.parametrize("times", [1, 2])
 def test_segment_kernel_with_threshold_on_a_prime(kernel_flags, q, times):
-    """slots // 128 is exactly q, so q is the first banded prime and its
+    """slots // 64 is exactly q, so q is the first banded prime and its
     octave ends at 2q, or exactly 2q, the end of that octave."""
     flags, basis = kernel_flags
     rng = random.Random(q * times)
-    for extra in (0, 1, 127):
-        slots = 128 * times * q + extra
+    for extra in (0, 1, 31, 63):
+        slots = 64 * times * q + extra
         for lo in [3, 2 * q + 1] + [rng.randrange(3, KERNEL_LIMIT - 2 * slots) | 1 for _ in range(8)]:
             assert_kernel_matches(flags, basis, lo, 2 * slots)
 
 
-def test_segment_kernel_below_128_slots_bands_every_prime(kernel_flags):
-    """With fewer than 128 slots the threshold is 0: every basis prime above
+def test_segment_kernel_below_64_slots_bands_every_prime(kernel_flags):
+    """With fewer than 64 slots the threshold is 0: every basis prime above
     17 is marked by the octave scatter, most with a single hit or none."""
     flags, basis = kernel_flags
-    rng = random.Random(128)
-    for slots in (1, 2, 18, 19, 64, 100, 127):
+    rng = random.Random(64)
+    for slots in (1, 2, 18, 19, 32, 50, 63):
         for lo in [3, 19, 37] + [rng.randrange(3, KERNEL_LIMIT - 2 * slots) | 1 for _ in range(20)]:
             assert_kernel_matches(flags, basis, lo, 2 * slots)
 
@@ -237,6 +245,42 @@ def test_oversized_base_sieve_fails_before_allocating(tmp_path, monkeypatch):
     assert not (tmp_path / "rows.csv").exists()
     with pytest.raises(RangeTooLargeError):
         sieve_flags(census.BASE_SIEVE_MAX_BYTES // 9)  # the smallest n over budget
+
+
+def test_sweep_independent_of_segment_len_at_full_scale_offsets():
+    """A seeded 5-x slice near the top of the paper's census, resumed from
+    the oracle's pi((A-1)**2), reads the same at four segment lengths, one
+    of them not a power of two, and its last row matches the counter."""
+    a = random.Random(449).randrange(448_000, 449_995)
+    b = a + 4
+    cum_pi = prime_pi((a - 1) ** 2)
+    sweeps = [
+        list(census_sweep(b, segment_len=segment_len, start_x=a, cum_pi_start=cum_pi))
+        for segment_len in (1 << 20, 1 << 21, 1 << 22, 3 * (1 << 20) + 2)
+    ]
+    assert [r.x for r in sweeps[0]] == list(range(a, b + 1))
+    assert all(rows == sweeps[0] for rows in sweeps[1:])
+    assert sweeps[0][-1].prime_count == count_in_range_oracle(b)
+
+
+def test_pool_draws_a_bounded_window_of_tasks(monkeypatch):
+    """The pool sweep submits at most 4 * workers segments ahead of the one
+    it reduces, and closing the sweep stops its workers."""
+    drawn = [0]
+    segment_tasks = census._segment_tasks
+
+    def counted(*args):
+        for task in segment_tasks(*args):
+            drawn[0] += 1
+            yield task
+
+    monkeypatch.setattr(census, "_segment_tasks", counted)
+    workers = 2
+    stream = census_sweep(3000, workers=workers, segment_len=2048)  # about 4,400 segments
+    assert next(stream) == (2, 4, 2)
+    assert 0 < drawn[0] <= 4 * workers + 1
+    stream.close()
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_independent_of_workers():
