@@ -33,10 +33,11 @@ odd values, one slot each.  It marks composites in four steps:
 
 T follows the segment length and the pattern offset follows lo, so no
 state carries across segments and the output stays independent of how
-the range is cut.  The default 2**21 numbers give a 1 MB mask, half of a
-2 MB per-core L2, where a strided store costs a quarter to a half less
-than on a 2 MB mask.  A pool sweep keeps an in-order window of at most
-4 * workers submitted segments and submits one more as each result is drawn.
+the range is cut.  Segments are DEFAULT_SEGMENT_LEN = 2**21 numbers, a
+1 MB mask, half of a 2 MB per-core L2, where a strided store costs a
+quarter to a half less than on a 2 MB mask.  A pool sweep keeps an
+in-order window of at most 4 * workers submitted segments and submits
+one more as each result is drawn.
 
 ``write_census_file`` is the one writer of census files.  Its crash rule:
 a census under its final name is complete, or a checkpoint on disk covers
@@ -51,7 +52,7 @@ import functools
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import islice
 from math import isqrt, prod
 from pathlib import Path
@@ -237,12 +238,12 @@ def _in_order(pool, tasks, window):
         yield done.result()
 
 
-def _segment_tasks(cursor: int, limit: int, segment_len: int, start_x: int, n_max: int):
+def _segment_tasks(cursor: int, limit: int, start_x: int, n_max: int):
     """Yield (lo, hi, [(x, x*x) boundaries]) covering odd values cursor..limit."""
     lo = cursor if cursor % 2 == 1 else cursor + 1
     x = start_x
     while lo <= limit:
-        hi = min(lo + segment_len, limit + 1)
+        hi = min(lo + DEFAULT_SEGMENT_LEN, limit + 1)
         if hi % 2 == 0:
             hi += 1  # keep segment bounds odd-aligned
         squares = []
@@ -267,7 +268,7 @@ def count_in_range(x: int) -> int:
     lo = max(x, 3)
     if lo % 2 == 0:
         lo += 1
-    for seg_lo, seg_hi, _ in _segment_tasks(lo, limit, DEFAULT_SEGMENT_LEN, x, 1):
+    for seg_lo, seg_hi, _ in _segment_tasks(lo, limit, x, 1):
         count += int(np.count_nonzero(_sieve_odd_segment(seg_lo, seg_hi, primes, prime_squares)))
     return count
 
@@ -276,7 +277,6 @@ def census_sweep(
     n_max: int,
     *,
     workers: int = 1,
-    segment_len: int = DEFAULT_SEGMENT_LEN,
     start_x: int = 2,
     cum_pi_start: Optional[int] = None,
 ) -> Iterator[CensusRecord]:
@@ -284,15 +284,15 @@ def census_sweep(
 
     ``start_x > 2`` resumes a sweep mid-way and requires ``cum_pi_start``,
     the value of pi((start_x - 1)**2).  Output is independent of both
-    ``workers`` and ``segment_len``.  The arguments are checked and the
+    ``workers`` and DEFAULT_SEGMENT_LEN.  The arguments are checked and the
     base sieve is built when this is called, before the first record is
     drawn, so a refused range fails before a caller opens its output.
     Closing the returned generator drops the sweep, which stops its pool.
     """
-    return (record for record, _ in _sweep_pairs(n_max, workers, segment_len, start_x, cum_pi_start))
+    return (record for record, _ in _sweep_pairs(n_max, workers, start_x, cum_pi_start))
 
 
-def _sweep_pairs(n_max, workers, segment_len, start_x, cum_pi_start) -> Iterator[tuple[CensusRecord, int]]:
+def _sweep_pairs(n_max, workers, start_x, cum_pi_start) -> Iterator[tuple[CensusRecord, int]]:
     """census_sweep's records, each paired with pi(x**2) for checkpoints."""
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
@@ -302,21 +302,19 @@ def _sweep_pairs(n_max, workers, segment_len, start_x, cum_pi_start) -> Iterator
         raise ValueError("start_x must be >= 2")
     if start_x > 2 and cum_pi_start is None:
         raise ValueError("resuming mid-sweep requires cum_pi_start = pi((start_x-1)**2)")
-    if segment_len < 1:
-        raise ValueError("segment_len must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return _sweep(n_max, sieve_flags(n_max), workers, segment_len, start_x, cum_pi_start)
+    return _sweep(n_max, sieve_flags(n_max), workers, start_x, cum_pi_start)
 
 
-def _sweep(n_max, flags, workers, segment_len, start_x, cum_pi_start):
+def _sweep(n_max, flags, workers, start_x, cum_pi_start):
     pi_below = np.cumsum(flags, dtype=np.int64)  # pi_below[v] = pi(v)
     primes, prime_squares = _odd_sieve_basis(flags)
 
     limit = n_max * n_max
     cursor = 3 if start_x == 2 else (start_x - 1) ** 2 + 1
     cum_odd = 0 if start_x == 2 else int(cum_pi_start) - 1  # strip the prime 2
-    tasks = _segment_tasks(cursor, limit, segment_len, start_x, n_max)
+    tasks = _segment_tasks(cursor, limit, start_x, n_max)
 
     pool = None
     try:
@@ -343,18 +341,11 @@ def _sweep(n_max, flags, workers, segment_len, start_x, cum_pi_start):
 # Checkpoint files
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_INT_FIELDS = ("n_max", "last_completed_x", "cumulative_pi_at_square", "segment_cursor")
-
 
 def write_checkpoint(path, checkpoint: SweepCheckpoint) -> None:
     """Atomically persist a checkpoint (tmp file + rename); a failed write
     removes the tmp file."""
-    lines = [CHECKPOINT_VERSION]
-    lines.append(f"n_max={checkpoint.n_max}")
-    lines.append(f"last_completed_x={checkpoint.last_completed_x}")
-    lines.append(f"cumulative_pi_at_square={checkpoint.cumulative_pi_at_square}")
-    lines.append(f"segment_cursor={checkpoint.segment_cursor}")
-    lines.append(f"digest={checkpoint.digest}")
+    lines = [CHECKPOINT_VERSION, *(f"{name}={value}" for name, value in asdict(checkpoint).items())]
     tmp = str(path) + ".tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
@@ -376,24 +367,23 @@ def read_checkpoint(path) -> SweepCheckpoint:
         raise CheckpointError(f"{path}: {exc}") from None
     if not content or content[0] != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_VERSION} file")
-    fields = {}
+    found = {}
     for line in content[1:]:
         if not line.strip():
             continue
         key, sep, value = line.partition("=")
         if not sep:
             raise CheckpointError(f"{path}: malformed line {line!r}")
-        fields[key] = value
-    try:
-        ints = {name: int(fields[name]) for name in _CHECKPOINT_INT_FIELDS}
-        digest = fields["digest"]
+        found[key] = value
+    try:  # every field but the digest is an int; unknown keys are ignored
+        checkpoint = SweepCheckpoint(**{
+            f.name: found[f.name] if f.name == "digest" else int(found[f.name]) for f in fields(SweepCheckpoint)})
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing field {exc}") from None
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    if len(digest) != 64 or any(c not in "0123456789abcdef" for c in digest):
+    if len(checkpoint.digest) != 64 or any(c not in "0123456789abcdef" for c in checkpoint.digest):
         raise CheckpointError(f"{path}: digest is not a sha256 hex string")
-    checkpoint = SweepCheckpoint(digest=digest, **ints)
     expected_cursor = checkpoint.last_completed_x**2 + 1
     if checkpoint.segment_cursor != expected_cursor:
         raise CheckpointError(
@@ -408,21 +398,21 @@ def _validated_resume(checkpoint_path, path):
 
     Returns (checkpoint, (hasher, keep_offset)): the SHA-256 state over
     rows x=2..last_completed_x, and the byte offset just past the last of
-    them.  Raises CheckpointIntegrityError when rows are missing, out of
-    place or do not match the digest.
+    them.  One pass, with memory in proportion to the file: it is read
+    whole and the covered rows are hashed in one call, so the digest fails
+    on any edited, missing or reordered row.  Raises
+    CheckpointIntegrityError on a wrong header, too few rows or a mismatch.
     """
     checkpoint = read_checkpoint(checkpoint_path)
-    hasher = hashlib.sha256()
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        if header.rstrip(b"\r\n").decode("ascii", "replace") != CENSUS_HEADER:
-            raise CheckpointIntegrityError(f"{path}: census header missing or wrong")
-        for x in range(2, checkpoint.last_completed_x + 1):
-            line = fh.readline()
-            if not line.startswith(f"{x},".encode("ascii")):
-                raise CheckpointIntegrityError(f"{path}: row for x={x} missing or out of order")
-            hasher.update(line)
-        keep_offset = fh.tell()
+    data = Path(path).read_bytes()
+    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))  # ends[0] closes the header
+    if not len(ends) or data[: ends[0]].rstrip(b"\r") != CENSUS_HEADER.encode("ascii"):
+        raise CheckpointIntegrityError(f"{path}: census header missing or wrong")
+    rows = checkpoint.last_completed_x - 1  # x = 2..last_completed_x
+    if len(ends) <= rows:
+        raise CheckpointIntegrityError(f"{path}: {len(ends) - 1} complete rows, the checkpoint covers {rows}")
+    keep_offset = int(ends[rows]) + 1
+    hasher = hashlib.sha256(memoryview(data)[ends[0] + 1 : keep_offset])
     if hasher.hexdigest() != checkpoint.digest:
         raise CheckpointIntegrityError(f"{path}: rows do not match the checkpoint digest; refusing to resume")
     return checkpoint, (hasher, keep_offset)
@@ -513,6 +503,6 @@ def run_census(
     elif n_max is None:
         raise ValueError("n_max is required for a fresh sweep")
 
-    rows = _sweep_pairs(n_max, workers, DEFAULT_SEGMENT_LEN, start_x, cum_pi_start)
+    rows = _sweep_pairs(n_max, workers, start_x, cum_pi_start)
     return write_census_file(rows, out_path, n_max=n_max, checkpoint_path=checkpoint_path,
                              stop_after=stop_after, resume_from=resume_from)

@@ -259,6 +259,12 @@ def _cmd_plot(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="primecensus", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    census_in = argparse.ArgumentParser(add_help=False)  # options shared by several commands
+    census_in.add_argument("--census", required=True)
+    constants_in = argparse.ArgumentParser(add_help=False)
+    constants_in.add_argument("--constants", help="constants file overriding model defaults")
+    constants_in.add_argument("--set", dest="set_constants", action="append", default=[],
+                              metavar="MODEL.CONST=VALUE", help="override one constant (repeatable)")
 
     p = sub.add_parser("census", help="generate the census CSV for x=2..N")
     p.add_argument("--max-x", type=int, default=None, help="largest x to census (omit only with --resume)")
@@ -276,46 +282,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(handler=_cmd_pi)
 
-    p = sub.add_parser("evaluate", help="average relative error and match tallies per model")
-    p.add_argument("--census", required=True)
+    p = sub.add_parser("evaluate", help="average relative error and match tallies per model",
+                       parents=[census_in, constants_in])
     p.add_argument("--models", default="all", help="comma-separated kinds or 'all'")
-    p.add_argument("--constants", help="constants file overriding model defaults")
-    p.add_argument("--set", dest="set_constants", action="append", default=[],
-                   metavar="MODEL.CONST=VALUE", help="override one constant (repeatable)")
     p.add_argument("--out", help="write per-row evaluation CSV here")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(handler=_cmd_evaluate)
 
-    p = sub.add_parser("fit", help="recover model constants from census data")
-    p.add_argument("--census", required=True)
+    p = sub.add_parser("fit", help="recover model constants from census data", parents=[census_in])
     p.add_argument("--target", required=True, choices=_FIT_TARGETS)
     p.add_argument("--x-min", type=int, default=None)
     p.add_argument("--x-max", type=int, default=None)
     p.add_argument("--constants-out", help="write a constants file usable by evaluate/plot")
     p.set_defaults(handler=_cmd_fit)
 
-    p = sub.add_parser("matches", help="exact/floor/ceil match tallies per model")
-    p.add_argument("--census", required=True)
+    p = sub.add_parser("matches", help="exact/floor/ceil match tallies per model", parents=[census_in, constants_in])
     p.add_argument("--model", required=True, help="comma-separated kinds or 'all'")
-    p.add_argument("--constants", help="constants file overriding model defaults")
-    p.add_argument("--set", dest="set_constants", action="append", default=[],
-                   metavar="MODEL.CONST=VALUE", help="override one constant (repeatable)")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(handler=_cmd_matches)
 
-    p = sub.add_parser("verify", help="cross-check random census rows against the combinatorial counter")
-    p.add_argument("--census", required=True)
+    p = sub.add_parser("verify", help="cross-check random census rows against the combinatorial counter",
+                       parents=[census_in])
     p.add_argument("--sample", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("plot", help="render census series to an SVG file")
-    p.add_argument("--census", required=True)
+    p = sub.add_parser("plot", help="render census series to an SVG file", parents=[census_in, constants_in])
     p.add_argument("--kind", required=True, choices=plotting.PLOT_KINDS)
     p.add_argument("--models", default=None, help="models to overlay on a compare plot")
-    p.add_argument("--constants", help="constants file overriding model defaults")
-    p.add_argument("--set", dest="set_constants", action="append", default=[],
-                   metavar="MODEL.CONST=VALUE", help="override one constant (repeatable)")
     p.add_argument("--out", required=True)
     p.add_argument("--x-min", type=int, default=None)
     p.add_argument("--x-max", type=int, default=None)

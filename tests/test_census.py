@@ -66,15 +66,22 @@ def test_sweep_agrees_with_combinatorial_counter_to_3000():
         assert record.prime_count == count_in_range_oracle(record.x), record
 
 
+def sweep_at(segment_len, *args, **kwargs):
+    """census_sweep's rows, drawn with segments of ``segment_len`` numbers."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census, "DEFAULT_SEGMENT_LEN", segment_len)
+        return list(census_sweep(*args, **kwargs))
+
+
 def test_sweep_independent_of_segment_len():
     baseline = list(census_sweep(200))
     for segment_len in (1024, 4096, 65536):
-        assert list(census_sweep(200, segment_len=segment_len)) == baseline
+        assert sweep_at(segment_len, 200) == baseline
     # At 2**14 the scatter threshold (slots // 64 = 128) is far below the
     # largest base prime (2999); the default length strides every prime.
     baseline = list(census_sweep(3000))
     for segment_len in (2048, 1 << 14):
-        assert list(census_sweep(3000, segment_len=segment_len)) == baseline
+        assert sweep_at(segment_len, 3000) == baseline
 
 
 def test_segment_kernel_matches_base_sieve_on_short_segments():
@@ -255,7 +262,7 @@ def test_sweep_independent_of_segment_len_at_full_scale_offsets():
     b = a + 4
     cum_pi = prime_pi((a - 1) ** 2)
     sweeps = [
-        list(census_sweep(b, segment_len=segment_len, start_x=a, cum_pi_start=cum_pi))
+        sweep_at(segment_len, b, start_x=a, cum_pi_start=cum_pi)
         for segment_len in (1 << 20, 1 << 21, 1 << 22, 3 * (1 << 20) + 2)
     ]
     assert [r.x for r in sweeps[0]] == list(range(a, b + 1))
@@ -275,8 +282,9 @@ def test_pool_draws_a_bounded_window_of_tasks(monkeypatch):
             yield task
 
     monkeypatch.setattr(census, "_segment_tasks", counted)
+    monkeypatch.setattr(census, "DEFAULT_SEGMENT_LEN", 2048)  # about 4,400 segments
     workers = 2
-    stream = census_sweep(3000, workers=workers, segment_len=2048)  # about 4,400 segments
+    stream = census_sweep(3000, workers=workers)
     assert next(stream) == (2, 4, 2)
     assert 0 < drawn[0] <= 4 * workers + 1
     stream.close()
@@ -284,9 +292,9 @@ def test_pool_draws_a_bounded_window_of_tasks(monkeypatch):
 
 
 def test_sweep_independent_of_workers():
-    baseline = list(census_sweep(300, segment_len=4096))
+    baseline = sweep_at(4096, 300)
     for workers in (2, 4, 8):
-        assert list(census_sweep(300, workers=workers, segment_len=4096)) == baseline
+        assert sweep_at(4096, 300, workers=workers) == baseline
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -329,6 +337,14 @@ def test_checkpoint_roundtrip(tmp_path):
         digest="ab" * 32,
     )
     write_checkpoint(path, checkpoint)
+    assert path.read_text(encoding="ascii") == (
+        "primecensus-checkpoint-v1\n"
+        "n_max=1000\n"
+        "last_completed_x=500\n"
+        "cumulative_pi_at_square=22044\n"
+        "segment_cursor=250001\n"
+        f"digest={'ab' * 32}\n"
+    )
     assert read_checkpoint(path) == checkpoint
     # Older checkpoints also name the census file; that line is ignored.
     lines = path.read_text(encoding="ascii").splitlines()
@@ -412,6 +428,23 @@ def test_resume_with_edited_rows_raises(tmp_path):
     out.write_text(content)
     with pytest.raises(CheckpointIntegrityError):
         run_census(None, out, checkpoint_path=ck, resume=True)
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda lines: lines[:-2], id="two-rows-short"),
+    pytest.param(lambda lines: lines[1:], id="header-missing"),
+    pytest.param(lambda lines: [b"x,x2,count\n", *lines[1:]], id="header-wrong"),
+    pytest.param(lambda lines: [line.replace(b"\n", b"\r\n") for line in lines], id="crlf-line-ends"),
+])
+def test_resume_refuses_a_damaged_census(tmp_path, damage):
+    out = tmp_path / "rows.csv"
+    ck = tmp_path / "ck"
+    run_census(300, out, checkpoint_path=ck, stop_after=100)
+    damaged = b"".join(damage(out.read_bytes().splitlines(keepends=True)))
+    out.write_bytes(damaged)
+    with pytest.raises(CheckpointIntegrityError):
+        run_census(None, out, checkpoint_path=ck, resume=True)
+    assert out.read_bytes() == damaged
 
 
 def test_resume_missing_files(tmp_path):
