@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import random
 import sys
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 import numpy as np
 
@@ -30,8 +31,13 @@ EXIT_INTEGRITY = 3
 
 
 def format_percent(fraction: float) -> str:
-    """Two-decimal percent with half-away-from-zero ties, e.g. 0.60%."""
-    quantized = Decimal(repr(fraction * 100.0)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
+    """Two-decimal percent with half-away-from-zero ties, e.g. 0.60%; inf%
+    and nan% for a non-finite one."""
+    percent = fraction * 100.0
+    if not math.isfinite(percent):
+        return f"{percent!r}%"
+    # Enough precision for the 309 integer digits of the largest float.
+    quantized = Decimal(repr(percent)).quantize(Decimal("0.01"), ROUND_HALF_UP, Context(prec=400))
     return f"{quantized}%"
 
 
@@ -122,7 +128,9 @@ def _summaries(args, model_text, out_path=None):
     """Read the census once and score every requested model on it.
 
     With ``out_path``, the per-row evaluation CSV of the count models is
-    written there as well; each of them is scored a second time for it.
+    written there as well, every float as its repr
+    (``storage.write_evaluation_csv``); each of them is scored a second
+    time for it.
     """
     specs = _specs_for(_parse_models(model_text), args.constants, args.set_constants)
     table = storage.read_census(args.census)

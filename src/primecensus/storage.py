@@ -12,14 +12,18 @@ with fields x, x_squared and prime_count.
 the one census writer, so a census under its final name is always
 complete.  Evaluation CSV: header ``EVALUATION_HEADER``, one row per
 census row and model, written by ``write_evaluation_csv`` from each
-model's ``Scores`` a block at a time, each column's text from the repr
-of its block as a list: floats as their shortest round-trip repr.
+model's ``Scores`` 8,192 rows at a time, the text of each block built in
+numpy: integers from their digit columns, floats as the bytes of their
+repr, from a vectorised shortest-digit kernel (``_shortest_digits``,
+Schubfach).  ``tests/test_storage.py`` holds that text equal to ``repr``
+on random bit patterns, at every power of two and its neighbours, in a
+hypothesis property, and against a per-row writer.
 Constants file: one ``model.constant=value`` per line, ``#`` comments allowed.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+import functools
 from pathlib import Path
 from typing import Iterable
 
@@ -37,8 +41,8 @@ from .evaluation import MatchClass
 from .pi_oracle import MAX_SQUARE_BASE
 
 EVALUATION_HEADER = "x,true_count,model,prediction,relative_error,match_class"
-# Evaluation rows are formatted this many at a time: whole-column lists of
-# Python numbers would be held all at once, next to the census table.
+# Evaluation rows are formatted this many at a time, so a block's text
+# matrices and uint64 temporaries stay small and in cache.
 _EVALUATION_BLOCK = 8192
 
 # Census text is validated and parsed this many bytes at a time, in whole
@@ -216,14 +220,173 @@ def write_constants(path, constants_by_kind: dict, comment: str | None = None) -
 # ---------------------------------------------------------------------------
 
 
+# Each field of a block of evaluation rows is a (width, rows) uint8 matrix,
+# one matrix row per character slot, with a mask of the characters kept.
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_LOW32 = np.uint64(2**32 - 1)
+_LOW63 = np.uint64(2**63 - 1)
+
+
 def write_evaluation_csv(path, scored: Iterable) -> None:
     """Write the header, then one row per score of each (kind, Scores) pair
     in ``scored``, in order."""
-    labels = np.array([match.value for match in MatchClass], dtype=object)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(EVALUATION_HEADER + "\n")
+    labels = [match.value.encode("ascii") for match in MatchClass]
+    with open(path, "wb") as fh:
+        fh.write(EVALUATION_HEADER.encode("ascii") + b"\n")
         for kind, scores in scored:
+            name = [kind.encode("ascii")]
             for start in range(0, len(scores.x), _EVALUATION_BLOCK):
-                *numbers, match = (column[start : start + _EVALUATION_BLOCK] for column in scores)
-                x, t, p, r = (repr(column.tolist())[1:-1].split(", ") for column in numbers)
-                fh.write("\n".join(map(",".join, zip(x, t, repeat(kind), p, r, labels[match]))) + "\n")
+                x, t, p, r, match = (column[start : start + _EVALUATION_BLOCK] for column in scores)
+                kinds = _choice_text(name, np.zeros(len(x), np.intp))
+                fh.write(_rows_text([_int_text(x), _int_text(t), kinds, _float_text(p), _float_text(r), _choice_text(labels, match)]))
+
+
+def _rows_text(fields) -> bytes:
+    """The text of a block of rows from its fields' (chars, keep) matrices:
+    each row's fields joined by commas and ended by a newline."""
+    rows = fields[0][0].shape[1]
+    chars = np.concatenate([part for c, _ in fields for part in (c, np.full((1, rows), ord(","), np.uint8))])
+    chars[-1] = ord("\n")
+    keep = np.concatenate([part for _, k in fields for part in (k, np.ones((1, rows), bool))])
+    used = keep.any(axis=1)  # the gather below costs one step per slot and row
+    return chars[used].T[keep[used].T].tobytes()
+
+
+def _choice_text(options, index):
+    """The bytes ``options[i]`` for each i of ``index``."""
+    width = max(map(len, options))
+    table = np.zeros((width, len(options)), np.uint8)
+    for j, text in enumerate(options):
+        table[: len(text), j] = np.frombuffer(text, np.uint8)
+    lengths = np.array([len(text) for text in options])
+    return table[:, index], np.arange(width)[:, None] < lengths[index]
+
+
+def _int_text(values):
+    """The decimal text of each int64 of ``values``."""
+    values = np.asarray(values, dtype=np.int64)
+    magnitude = np.abs(values).view(np.uint64)  # -2**63 too
+    lengths = np.maximum(np.searchsorted(_POW10, magnitude, side="right"), 1)
+    width = int(lengths.max(initial=1))
+    chars = np.concatenate((np.full((1, len(values)), ord("-"), np.uint8), _digit_rows(magnitude, width)))
+    keep = np.concatenate(([values < 0], np.arange(width, 0, -1)[:, None] <= lengths))
+    return chars, keep
+
+
+def _digit_rows(values, width):
+    """The last ``width`` decimal digits of each uint64, as (width, rows) ASCII."""
+    out = np.empty((width, len(values)), np.uint8)
+    for stop in range(width, 0, -9):  # nine digits at a time, in uint32
+        chunk = (values % 10**9).astype(np.uint32)
+        values = values // 10**9
+        for j in range(stop - 1, max(stop - 9, 0) - 1, -1):
+            quotient = chunk // 10
+            out[j] = chunk - quotient * 10
+            chunk = quotient
+    out += ord("0")
+    return out
+
+
+def _float_text(values):
+    """repr's text of each float64 of ``values``.
+
+    Slots, top to bottom: the sign; "0." and three zeros, for a number
+    printed as 0.000ddd; 17 digits, each but the first after a slot for the
+    decimal point; ".0", for a number printed as dd.0; and "e", the
+    exponent's sign and three digits.  repr prints fixed notation when
+    -4 < decpt <= 16, the value being 0.ddd * 10**decpt, and d.ddde+XX
+    otherwise.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(values)
+    nonzero = finite & (values != 0)
+    digits, exponent = _shortest_digits(np.where(nonzero, np.abs(values), 1.0))
+    n = np.searchsorted(_POW10, digits, side="right")
+    decpt = np.where(nonzero, n + exponent, 1)
+    text = _digit_rows(np.where(nonzero, digits * _POW10[17 - n], 0), 17)  # zeros print as 0.0
+    n = np.where(nonzero, 17 - np.argmax(text[::-1] != ord("0"), axis=0), 1)  # without trailing zeros
+    fixed = (decpt > -4) & (decpt <= 16)
+    lead = fixed & (decpt <= 0)
+    point = np.where(fixed, np.where(lead | (decpt >= n), 0, decpt), np.where(n > 1, 1, 0))
+    e = decpt - 1
+    chars = np.empty((46, len(values)), np.uint8)
+    keep = np.empty((46, len(values)), bool)
+    chars[0], keep[0] = ord("-"), np.signbit(values)
+    chars[1:6] = np.frombuffer(b"0.000", np.uint8)[:, None]
+    keep[1:3] = lead
+    keep[3:6] = lead & (np.arange(3)[:, None] < -decpt)
+    chars[6:39:2], keep[6:39:2] = text, np.arange(17)[:, None] < np.where(fixed, np.maximum(n, decpt), n)
+    chars[7:38:2], keep[7:38:2] = ord("."), np.arange(1, 17)[:, None] == point
+    chars[39:41], keep[39:41] = np.frombuffer(b".0", np.uint8)[:, None], fixed & (decpt >= n)
+    chars[41], chars[42] = ord("e"), np.where(e < 0, ord("-"), ord("+"))
+    chars[43:46] = _digit_rows(np.abs(e).astype(np.uint64), 3)
+    keep[41:46] = ~fixed
+    keep[43] &= np.abs(e) >= 100
+    for i in np.flatnonzero(~finite).tolist():  # nan, inf and -inf
+        word = repr(float(values[i])).encode("ascii")
+        chars[: len(word), i] = np.frombuffer(word, np.uint8)
+        keep[:, i] = np.arange(46) < len(word)
+    return chars, keep
+
+
+@functools.cache
+def _schubfach_table():
+    """g1 and g0 for k = -324..292, g = g1 * 2**63 + g0 being
+    floor(10**-k * 2**(125 - floor(log2(10**-k)))) + 1.  Built on first
+    use, so a process that writes no evaluation CSV never builds it."""
+    g1, g0 = [], []
+    for k in range(-324, 293):
+        r = 125 - (-k * 913_124_641_741 >> 38)
+        g = (10 ** max(-k, 0) << max(r, 0)) // (10 ** max(k, 0) << max(-r, 0)) + 1
+        g1.append(g >> 63)
+        g0.append(g & (2**63 - 1))
+    return np.array(g1, dtype=np.uint64), np.array(g0, dtype=np.uint64)
+
+
+def _mul_high(a, b):
+    """The high 64 bits of each 128-bit product of two uint64 arrays."""
+    a1, a0, b1, b0 = a >> 32, a & _LOW32, b >> 32, b & _LOW32
+    cross1, cross2 = a1 * b0, a0 * b1
+    carry = (a0 * b0 >> 32) + (cross1 & _LOW32) + (cross2 & _LOW32)
+    return a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + (carry >> 32)
+
+
+def _rop(g1, g0, cp):
+    """cp * g / 2**127, rounded to odd (Schubfach's rop)."""
+    z = (g1 * cp >> 1) + _mul_high(g0, cp)  # g1 * cp wraps: only its low 64 bits count
+    return (_mul_high(g1, cp) + (z >> 63)) | ((z & _LOW63) + _LOW63 >> 63)
+
+
+def _shortest_digits(v):
+    """The decimal repr prints for each positive finite float64, as uint64
+    digits (trailing zeros possible) and an int64 exponent of 10.
+
+    This is Schubfach (R. Giulietti, "The Schubfach way to render doubles",
+    2020, as in the JDK's DoubleToDecimal.toDecimal) on whole arrays, with
+    two changes that give repr's digits: the coarse grid is tried at every
+    s, since repr has no two-digit minimum, and both branches take the
+    exponent k + dk, for the subnormals below 3 * 2**-1074.
+    """
+    bits = v.view(np.uint64)
+    t = bits & np.uint64(2**52 - 1)
+    bq = (bits >> 52).astype(np.int64)
+    normal = bq != 0
+    tiny = ~normal & (t < 3)  # 5e-324 and 1e-323, taken as 10 * t at 10**(k - 1)
+    c = np.where(normal, t | np.uint64(2**52), np.where(tiny, t * 10, t))
+    q = np.where(normal, bq - 1075, -1074)
+    irregular = (t == 0) & (bq > 1)  # a power of two: the gap below v is half the gap above
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41  # floor(log10 of 2**q, or of 3/4 * 2**q)
+    h = (q + (-k * 913_124_641_741 >> 38) + 2).astype(np.uint64)
+    g1, g0 = (table[k + 324] for table in _schubfach_table())
+    out = c & 1  # the rounding interval holds its ends only for an even c
+    cb = c << 2
+    vb = _rop(g1, g0, cb << h)
+    vbl = _rop(g1, g0, (cb - 2 + irregular) << h) + out
+    vbr = _rop(g1, g0, (cb + 2) << h) - out
+    s = vb >> 2
+    sp10 = s // 10 * 10
+    upin, wpin = vbl <= sp10 << 2, sp10 + 10 << 2 <= vbr
+    uin, win = vbl <= s << 2, s + 1 << 2 <= vbr
+    mid = (s << 2) + 2
+    pick_s = np.where(uin != win, uin, (vb < mid) | (vb == mid) & (s & 1 == 0))
+    return np.where(upin != wpin, np.where(upin, sp10, sp10 + 10), s + ~pick_s), k - tiny

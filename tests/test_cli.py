@@ -22,6 +22,9 @@ def test_format_percent_half_away_from_zero():
     assert format_percent(0.999999980244535) == "100.00%"
     assert format_percent(0.12005) == "12.01%"  # exact half rounds away from zero
     assert format_percent(0.0) == "0.00%"
+    assert format_percent(float("inf")) == "inf%"
+    assert format_percent(float("nan")) == "nan%"
+    assert format_percent(1e30) == "1" + "0" * 32 + ".00%"  # past Decimal's default 28 digits
 
 
 def test_pi_subcommand(capsys):
@@ -186,6 +189,15 @@ def test_evaluate_out_bytes_are_pinned(tmp_path, capsys):
     assert code == 0
     digest = hashlib.sha256(rows_csv.read_bytes()).hexdigest()
     assert digest == "583e7f10cd7683d29bfa9e1706a00f1236e9ad79572b262d191261afa9107bb9"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_evaluate_prints_an_infinite_are(tmp_path, capsys):
+    census = tmp_path / "c.csv"
+    run(capsys, "census", "--max-x", "300", "--out", str(census))
+    code, out, _ = run(capsys, "evaluate", "--census", str(census), "--models", "power_series", "--set", "power_series.b=400")
+    assert code == 0
+    assert "power_series                           inf%   (unrounded inf, n=299)" in out
 
 
 def test_evaluate_with_constants_override(tmp_path, capsys):

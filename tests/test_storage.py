@@ -1,5 +1,9 @@
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,6 +404,15 @@ def _reference_evaluation_csv(path, scored):
 
 
 SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e-05, 1e16, 1e22]
+SPECIAL_FLOATS += [
+    1e-323,  # a subnormal taken as 10 * t at one power of ten lower
+    2.2250738585072014e-308,  # the smallest normal: a power of two, yet with equal gaps on both sides
+    9007199254740992.0,
+    1.7976931348623157e308,
+    # each side of repr's switches between fixed and exponent notation
+    *(float(np.nextafter(edge, toward)) for edge in (1e-05, 1e-04, 1e15, 1e16) for toward in (0, np.inf)),
+]
+SPECIAL_FLOATS += [-value for value in SPECIAL_FLOATS[4:]]
 
 
 def _seeded_scores(rows, seed):
@@ -417,6 +430,37 @@ def _seeded_scores(rows, seed):
         spots = rng.integers(0, max(rows, 1), rows // 100)
         column[spots] = specials[spots]
     return Scores(x, true, pred, rel, rng.integers(0, len(MatchClass), rows))
+
+
+def _float_texts(values) -> list:
+    """The text ``write_evaluation_csv`` gives each float of ``values``."""
+    chars, keep = storage._float_text(np.asarray(values, dtype=np.float64))
+    return storage._rows_text([(chars, keep)]).decode("ascii").split("\n")[:-1]
+
+
+def test_float_text_is_repr_of_random_bit_patterns():
+    values = np.random.default_rng(16).integers(0, 2**64, 2**18, dtype=np.uint64).view(np.float64)
+    assert _float_texts(values) == list(map(repr, values.tolist()))
+
+
+def test_float_text_is_repr_at_powers_of_two():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    values = np.concatenate([values, -values])
+    assert _float_texts(values) == list(map(repr, values.tolist()))
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_float_text_is_repr_property(values):
+    assert _float_texts(values) == list(map(repr, values))
+
+
+def test_importing_the_cli_builds_no_formatter_table():
+    code = "import primecensus.cli, primecensus.storage as s; print(s._schubfach_table.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(storage.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "0\n"
 
 
 @pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193, 16385])
