@@ -12,7 +12,7 @@ with fields x, x_squared and prime_count.
 the one census writer, so a census under its final name is always
 complete.  Evaluation CSV: header ``EVALUATION_HEADER``, one row per
 census row and model, written by ``write_evaluation_csv`` from each
-model's ``Scores`` 8,192 rows at a time, the text of each block built in
+model's ``Scores`` 8,000 rows at a time, the text of each block built in
 numpy: integers from their digit columns, floats as the bytes of their
 repr, from a vectorised shortest-digit kernel (``_shortest_digits``,
 Schubfach).  ``tests/test_storage.py`` holds that text equal to ``repr``
@@ -42,8 +42,11 @@ from .pi_oracle import MAX_SQUARE_BASE
 
 EVALUATION_HEADER = "x,true_count,model,prediction,relative_error,match_class"
 # Evaluation rows are formatted this many at a time, so a block's text
-# matrices and uint64 temporaries stay small and in cache.
-_EVALUATION_BLOCK = 8192
+# matrices and uint64 temporaries stay small and in cache.  Not a power of
+# two: _rows_text reads its (slots, rows) matrices a column at a time, and
+# at a row stride of 8,192 bytes all the slots of a column fall in one L1
+# cache set, which made that gather about twice as slow.
+_EVALUATION_BLOCK = 8000
 
 # Census text is validated and parsed this many bytes at a time, in whole
 # lines, so the block's arrays stay small next to the file and the table.
@@ -245,11 +248,12 @@ def _rows_text(fields) -> bytes:
     """The text of a block of rows from its fields' (chars, keep) matrices:
     each row's fields joined by commas and ended by a newline."""
     rows = fields[0][0].shape[1]
-    chars = np.concatenate([part for c, _ in fields for part in (c, np.full((1, rows), ord(","), np.uint8))])
+    comma, one = np.full((1, rows), ord(","), np.uint8), np.ones((1, rows), bool)
+    used = [k.any(axis=1) for _, k in fields]  # the gather below costs one step per slot and row
+    chars = np.concatenate([part for (c, _), u in zip(fields, used) for part in (c[u], comma)])
     chars[-1] = ord("\n")
-    keep = np.concatenate([part for _, k in fields for part in (k, np.ones((1, rows), bool))])
-    used = keep.any(axis=1)  # the gather below costs one step per slot and row
-    return chars[used].T[keep[used].T].tobytes()
+    keep = np.concatenate([part for (_, k), u in zip(fields, used) for part in (k[u], one)])
+    return chars.T[keep.T].tobytes()
 
 
 def _choice_text(options, index):

@@ -463,7 +463,7 @@ def test_importing_the_cli_builds_no_formatter_table():
     assert done.stdout == "0\n"
 
 
-@pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193, 16385])
+@pytest.mark.parametrize("rows", [0, 1, 7999, 8000, 8001, 16001, 8191, 8192, 8193, 16385])
 def test_evaluation_csv_matches_the_per_row_reference(tmp_path, rows):
     scored = [("custom_ratio", _seeded_scores(rows, seed=rows)), ("bertrand", _seeded_scores(rows, seed=rows + 1))]
     storage.write_evaluation_csv(tmp_path / "block.csv", scored)
