@@ -130,5 +130,8 @@ def predict(x, spec: ModelSpec):
     """The prediction of ``spec``'s model at x: a float for a scalar x, an
     ndarray of x's shape for an array."""
     arr = np.asarray(x, dtype=np.float64)
-    values = _FORMULAS[spec.kind](np.atleast_1d(arr), spec.constants)
+    # A prediction too large for a float is inf, which the summaries
+    # report as an infinite error; it is not a numpy warning.
+    with np.errstate(over="ignore"):
+        values = _FORMULAS[spec.kind](np.atleast_1d(arr), spec.constants)
     return float(values[0]) if arr.ndim == 0 else values

@@ -19,10 +19,18 @@ updates every key v >= p*p from the table as the smaller primes left it.
    p0**3 > n.  Each writes only entries large[k-1] with
    k <= n // p**2 <= n // p0**2 < p0, and reads only the exact small half
    and large entries at index k*p - 1 >= p0 - 1.  No prime of this phase
-   reads an entry another one writes, so their updates commute: one loop
-   over the keys k = 1 .. n // p0**2 (about 5,800 at 2e11) applies each
-   key's terms from all primes at once, and the pi(p - 1) terms sum as
-   an arithmetic series.
+   reads an entry another one writes, so their updates commute: the
+   (key, prime) pairs for k = 1 .. n // p0**2 (about 5,800 keys and 3.4
+   million pairs at 2e11) go in blocks of keys by primes, each key's terms
+   summed over all its primes at once, and the pi(p - 1) terms sum as an
+   arithmetic series.
+
+Every phase works through two int64 buffers of ``_CHUNK`` entries, made
+once per sweep and refilled a chunk at a time, and allocates no
+sqrt(n)-long temporary per prime.  Such temporaries are too large for
+the allocator to keep, so each one was mapped and unmapped afresh: at
+n = 440,121**2 that cost about 98,000 minor page faults per call, more
+time than the arithmetic; with the buffers it takes about 3,000.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ from .errors import RangeTooLargeError
 MAX_64BIT = 2**63 - 1
 # Largest x whose square fits in a signed 64-bit integer (3,037,000,499).
 MAX_SQUARE_BASE = isqrt(MAX_64BIT)
+# Entries in each of the sweep's two int64 work buffers: 512 KiB apiece,
+# so both fit in a 2 MiB L2 cache.
+_CHUNK = 2**16
 
 
 def _check_width(n: int) -> None:
@@ -55,19 +66,80 @@ def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
     p <= sqrt(n) in turn, removes the numbers whose least prime factor is p:
     S(v) -= S(v // p) - pi(p - 1), for every key v >= p*p, in the three
     phases of the module docstring.
+
+    Beside the three tables (keys, small, large), the sweep holds only
+    two int64 work buffers of min(isqrt(n), _CHUNK) entries.  Each update
+    runs a chunk at a time through them (``out=`` arguments), in an order
+    that reads every entry before it is overwritten, so the results equal
+    those of whole-array updates bit for bit.
     """
     r = isqrt(n)
-    keys = n // np.arange(1, r + 1, dtype=np.int64)
+    keys = np.arange(1, r + 1, dtype=np.int64)
+    np.floor_divide(n, keys, out=keys)
     large = keys - 1
     small = np.arange(-1, r, dtype=np.int64)
+    chunk = min(r, _CHUNK)
+    idx = np.empty(chunk, dtype=np.int64)
+    buf = np.empty(chunk, dtype=np.int64)
 
     def sieve_large(p: int, sp: int) -> None:
         # Keys n // k >= p*p, i.e. k <= n // p**2.  For k <= r // p the key
         # n // (k*p) is a large key; otherwise it is small, n // k // p.
+        # Going up a chunk at a time keeps the one-shot semantics: the read
+        # for large[k-1] is at k*p - 1 >= 2k - 1, past every entry written.
         kmax = min(r, n // (p * p))
         a = min(kmax, r // p)
-        large[:a] -= large[p - 1 : a * p : p] - sp
-        large[a:kmax] -= small[keys[a:kmax] // p] - sp
+        for lo in range(0, a, chunk):
+            hi = min(lo + chunk, a)
+            out = buf[: hi - lo]
+            np.subtract(large[(lo + 1) * p - 1 : hi * p : p], sp, out=out)
+            large[lo:hi] -= out
+        for lo in range(a, kmax, chunk):
+            hi = min(lo + chunk, kmax)
+            i, out = idx[: hi - lo], buf[: hi - lo]
+            np.floor_divide(keys[lo:hi], p, out=i)
+            # Every index n // (k*p) lies in [p, r], so "clip" clips nothing;
+            # with out=, "raise" would make numpy buffer the output.
+            small.take(i, out=out, mode="clip")
+            out -= sp
+            large[lo:hi] -= out
+
+    def subtract_pair_sums(jlo, jhi, table, to_index) -> None:
+        # large[k-1] -= sum of table[to_index(k*p)] over p in ps[jlo:jhi],
+        # with jlo and jhi indexed by k - 1.  Both fall as k rises, so rows
+        # a..b-1 lie inside the block of columns jlo[b-1] .. jhi[a] - 1; each
+        # block of at most chunk cells is one product, one gather and one
+        # reduceat over the cells of its rows.  The other cells read some
+        # entry in range ("clip") and are left out of the sums.
+        rows = (jhi > jlo).nonzero()[0]  # k - 1 for each key with a term
+        bounds = np.array((jlo, jhi)).T[rows]
+        blocks, a = [], 0
+        while a < rows.size:
+            j0, j1 = bounds[a].tolist()
+            fit = min(rows.size - a, chunk // (j1 - j0))
+            if fit:
+                cells = np.arange(1, fit + 1) * (j1 - bounds[a : a + fit, 0])
+                b = a + int(cells.searchsorted(chunk, side="right"))
+                blocks.append((a, b, int(bounds[b - 1, 0]), j1))
+            else:  # row a alone is wider than a chunk: cut its columns
+                b = a + 1
+                blocks += [(a, b, j, min(j + chunk, j1)) for j in range(j0, j1, chunk)]
+            a = b
+        for a, b, j0, j1 in blocks:
+            g, w = b - a, j1 - j0
+            block = buf[: g * w].reshape(g, w)
+            np.multiply(rows[a:b, None] + 1, ps[j0:j1], out=block)
+            vals = idx[: g * w]
+            table.take(to_index(block), out=vals.reshape(g, w), mode="clip")
+            if g == 1:  # the whole block, or a piece of one wide row
+                large[rows[a]] -= vals.sum()
+                continue
+            # Row i's cells are vals[edges[2i] : edges[2i+1]].  The last
+            # row may end at the last cell, which reduceat cannot index.
+            edges = (bounds[a:b] + np.arange(-j0, g * w - j0, w)[:, None]).reshape(-1)
+            if edges[-1] == g * w:
+                edges = edges[:-1]
+            large[rows[a:b]] -= np.add.reduceat(vals, edges)[::2]
 
     # Phase 1, p <= n**(1/4): the only primes that also change the small half.
     for p in range(2, isqrt(r) + 1):
@@ -75,11 +147,21 @@ def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
             continue  # p composite: no change at key p
         sp = int(small[p - 1])
         sieve_large(p, sp)
-        small[p * p :] -= np.repeat(small[p : r // p + 1], p)[: r - p * p + 1] - sp
+        # small[v] -= small[v // p] - sp for v = p*p .. r: row j of the
+        # (q, p) view holds the v with v // p = p + j, and the partial row
+        # after it the v with v // p = p + q.  Going down a chunk of rows at
+        # a time, each read at v // p < v lies below every entry written.
+        q = (r + 1 - p * p) // p
+        small[p * p + q * p :] -= small[p + q] - sp
+        rows = small[p * p : p * p + q * p].reshape(q, p)
+        for hi in range(q, 0, -chunk):
+            lo = max(hi - chunk, 0)
+            src = np.subtract(small[p + lo : p + hi], sp, out=buf[: hi - lo])
+            rows[lo:hi] -= src[:, None]
 
     # The small half is now exact, so it lists the primes <= r, and the
     # i-th of them (from 0) has pi(p - 1) = i.
-    primes = np.flatnonzero(np.diff(small[1:])) + 2
+    primes = np.flatnonzero(small[2:] != small[1:-1]) + 2
     first = int(np.searchsorted(primes, isqrt(r), side="right"))
     tail = int(np.count_nonzero(primes * primes <= n // primes))  # p**3 <= n
 
@@ -88,17 +170,17 @@ def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
         sieve_large(int(primes[i]), i)
 
     # Phase 3, p > n**(1/3): the updates commute (module docstring), so
-    # they go key by key, each summed over the primes with p*p <= n // k.
+    # each key k takes one sum over its primes, those with p*p <= n // k:
+    # c of them, the first m with k*p <= r, which read large[k*p - 1]; the
+    # rest read small[n // (k*p)], in [p, r].
     ps = primes[tail:]
     if ps.size:
         kmax = min(r, n // int(ps[0]) ** 2)
-        ps_less1 = ps - 1
-        counts = np.searchsorted(ps * ps, keys[:kmax], side="right").tolist()
-        splits = np.searchsorted(ps, r // np.arange(1, kmax + 1), side="right").tolist()
-        for k, key, c, m in zip(range(1, kmax + 1), keys[:kmax].tolist(), counts, splits):
-            m = min(m, c)  # primes with k*p <= r read large[k*p - 1], i.e. large[k-1::k][p-1]
-            total = large[k - 1 :: k][ps_less1[:m]].sum() + small[key // ps[m:c]].sum()
-            large[k - 1] -= total - (c * tail + c * (c - 1) // 2)
+        c = np.searchsorted(ps * ps, keys[:kmax], side="right")
+        m = np.minimum(c, np.searchsorted(ps, r // np.arange(1, kmax + 1), side="right"))
+        large[:kmax] += c * (c + (2 * tail - 1)) // 2  # the pi(p - 1) terms
+        subtract_pair_sums(np.zeros_like(m), m, large, lambda kp: np.subtract(kp, 1, out=kp))
+        subtract_pair_sums(m, c, small, lambda kp: np.floor_divide(n, kp, out=kp))
     return small, large
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from primecensus import RangeTooLargeError, count_in_range_oracle, pi_prefix, prime_pi
-from primecensus.pi_oracle import _legendre_sweep
+from primecensus import pi_oracle
+from primecensus.pi_oracle import _CHUNK, _legendre_sweep
 
 from pi_reference import legendre_sweep_reference, naive_pi_table
 
@@ -110,6 +111,31 @@ def test_sweep_matches_reference_at_seeded_n(n):
     _assert_tables_match_reference(n)
 
 
-@pytest.mark.parametrize("n, expected", [(10**10, 455_052_511), (10**11, 4_118_054_813)])
+# Chunk sizes for the work buffers, each with the largest phase boundary
+# it is checked at: with a few entries per chunk, a sweep at n = 1e10
+# would run millions of chunks.
+_SMALL_CHUNKS = {1: 10**5, 7: 10**7, 64: 10**9}
+
+
+@pytest.mark.parametrize("chunk", sorted(_SMALL_CHUNKS))
+def test_sweep_matches_reference_with_small_chunks(monkeypatch, chunk):
+    # Tiny buffers cut every update into many chunks and every phase-3
+    # row into many pieces.
+    monkeypatch.setattr(pi_oracle, "_CHUNK", chunk)
+    for n in range(2, 3001):
+        _assert_tables_match_reference(n)
+    for n in _phase_boundaries():
+        if n <= _SMALL_CHUNKS[chunk]:
+            _assert_tables_match_reference(n)
+
+
+@pytest.mark.parametrize("r", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK])
+def test_sweep_matches_reference_where_r_meets_the_chunk(r):
+    _assert_tables_match_reference(r * r)
+
+
+@pytest.mark.parametrize(
+    "n, expected", [(10**10, 455_052_511), (10**11, 4_118_054_813), (10**12, 37_607_912_018)]
+)
 def test_published_prime_counts(n, expected):
     assert prime_pi(n) == expected
