@@ -27,10 +27,10 @@ updates every key v >= p*p from the table as the smaller primes left it.
 
 Every phase works through two int64 buffers of ``_CHUNK`` entries, made
 once per sweep and refilled a chunk at a time, and allocates no
-sqrt(n)-long temporary per prime.  Such temporaries are too large for
-the allocator to keep, so each one was mapped and unmapped afresh: at
-n = 440,121**2 that cost about 98,000 minor page faults per call, more
-time than the arithmetic; with the buffers it takes about 3,000.
+sqrt(n)-long temporary per prime.  Temporaries that large are mapped
+afresh by malloc and unmapped when freed, so one per prime costs about
+98,000 minor page faults per call at n = 440,121**2, more time than the
+arithmetic; with the buffers a call takes about 3,000.
 """
 
 from __future__ import annotations
