@@ -51,7 +51,6 @@ import contextlib
 import functools
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import islice
 from math import isqrt, prod
@@ -309,8 +308,6 @@ def _sweep_pairs(n_max, workers, start_x, cum_pi_start) -> Iterator[tuple[Census
 
 def _sweep(n_max, flags, workers, start_x, cum_pi_start):
     pi_below = np.cumsum(flags, dtype=np.int64)  # pi_below[v] = pi(v)
-    primes, prime_squares = _odd_sieve_basis(flags)
-
     limit = n_max * n_max
     cursor = 3 if start_x == 2 else (start_x - 1) ** 2 + 1
     cum_odd = 0 if start_x == 2 else int(cum_pi_start) - 1  # strip the prime 2
@@ -319,8 +316,13 @@ def _sweep(n_max, flags, workers, start_x, cum_pi_start):
     pool = None
     try:
         if workers == 1:
-            results = (_segment_counts(lo, hi, sq, primes, prime_squares) for lo, hi, sq in tasks)
+            basis = _odd_sieve_basis(flags)
+            results = (_segment_counts(lo, hi, sq, *basis) for lo, hi, sq in tasks)
         else:
+            # Imported here: it loads multiprocessing, logging and queue, which
+            # a one-worker run never needs.  Each worker builds its own basis.
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_segment_worker,

@@ -9,9 +9,9 @@ data series is exactly one <polyline>; axes, ticks and legend swatches use
 from __future__ import annotations
 
 from dataclasses import dataclass
+from html import escape
 from math import ceil, floor, log10
 from typing import List, Optional, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -86,22 +86,29 @@ def _decimate(xs: np.ndarray, vs: np.ndarray, columns: int) -> Tuple[np.ndarray,
 
     Only applied when the series has more than two points per column, so
     short series pass through untouched.  Every kept value is a member of
-    the input series.
+    the input series.  A column keeps the indices np.argmin and np.argmax
+    would give: the first occurrence of its extreme, or its first NaN.
     """
     n = len(xs)
     if n <= 2 * columns:
         return xs, vs
     span = xs[-1] - xs[0]
     cols = ((xs - xs[0]) * (columns / span)).astype(np.int64).clip(0, columns - 1)
-    keep = {0, n - 1}
-    boundaries = np.flatnonzero(np.diff(cols)) + 1
-    start = 0
-    for end in list(boundaries) + [n]:
-        chunk = vs[start:end]
-        keep.add(start + int(np.argmin(chunk)))
-        keep.add(start + int(np.argmax(chunk)))
-        start = end
-    idx = np.array(sorted(keep), dtype=np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], cols[1:] != cols[:-1])))
+    sizes = np.diff(starts, append=n)
+    nan_at = np.isnan(vs)
+    keep = [np.array([0, n - 1])]
+    for reduce in (np.minimum, np.maximum):
+        # Both ufuncs propagate NaN, as argmin and argmax do: a column with
+        # a NaN has a NaN extreme, which no value equals, so its hits are its
+        # NaNs; a column without one has no NaN to add.
+        extremes = reduce.reduceat(vs, starts)
+        hits = vs == np.repeat(extremes, sizes)
+        hits |= nan_at
+        hit_at = np.flatnonzero(hits)
+        # Every column holds a hit, so the first hit at or past its start is its own.
+        keep.append(hit_at[np.searchsorted(hit_at, starts)])
+    idx = np.unique(np.concatenate(keep))
     return xs[idx], vs[idx]
 
 
@@ -176,7 +183,7 @@ def render(census: Sequence, config: PlotConfig, models: Optional[Sequence[Model
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{inner_w}" height="{inner_h}" '
         'fill="none" stroke="#444444" stroke-width="1"/>',
         f'<text x="{config.width // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15" fill="#111111">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="15" fill="#111111">{escape(title, quote=False)}</text>',
     ]
 
     # Axis ticks and grid.
@@ -226,7 +233,7 @@ def render(census: Sequence, config: PlotConfig, models: Optional[Sequence[Model
                 f'<line x1="{_MARGIN_LEFT + 8}" y1="{y - 4}" x2="{_MARGIN_LEFT + 30}" y2="{y - 4}" '
                 f'stroke="{color}" stroke-width="2"/>'
             )
-            parts.append(f'<text x="{_MARGIN_LEFT + 35}" y="{y}" fill="#111111">{escape(name)}</text>')
+            parts.append(f'<text x="{_MARGIN_LEFT + 35}" y="{y}" fill="#111111">{escape(name, quote=False)}</text>')
         parts.append("</g>")
 
     parts.append("</svg>")

@@ -1,7 +1,10 @@
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primecensus import DomainError, PlotConfig, model_spec, render
 from primecensus.evaluation import ratio_series
@@ -96,6 +99,47 @@ def test_decimation_keeps_envelope_and_endpoints():
     assert np.all(np.diff(dxs) > 0)
 
 
+def _decimate_indices_per_column(xs, vs, columns):
+    """The indices _decimate keeps, one argmin and one argmax call per column."""
+    n = len(xs)
+    if n <= 2 * columns:
+        return np.arange(n)
+    span = xs[-1] - xs[0]
+    cols = ((xs - xs[0]) * (columns / span)).astype(np.int64).clip(0, columns - 1)
+    keep = {0, n - 1}
+    boundaries = np.flatnonzero(np.diff(cols)) + 1
+    start = 0
+    for end in list(boundaries) + [n]:
+        chunk = vs[start:end]
+        keep.add(start + int(np.argmin(chunk)))
+        keep.add(start + int(np.argmax(chunk)))
+        start = end
+    return np.array(sorted(keep), dtype=np.int64)
+
+
+_DECIMATE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(
+    gaps=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=300),
+    values=st.data(),
+    columns=st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_decimation_keeps_the_per_column_argmin_and_argmax(gaps, values, columns):
+    # Strictly rising xs, so the kept xs name the kept indices; few distinct
+    # values, so columns hold ties, NaNs and infinities.
+    xs = np.cumsum([0] + gaps).astype(np.float64)
+    vs = np.array(values.draw(st.lists(_DECIMATE_VALUES, min_size=len(xs), max_size=len(xs))), dtype=np.float64)
+    idx = _decimate_indices_per_column(xs, vs, columns)
+    dxs, dvs = _decimate(xs, vs, columns)
+    assert np.array_equal(dxs, xs[idx])
+    assert np.array_equal(dvs.view(np.uint64), vs[idx].view(np.uint64))  # same bits: -0.0 and NaN too
+
+
 def test_decimation_skipped_for_short_series():
     xs = np.arange(300, dtype=np.float64)
     vs = xs * 2.0
@@ -118,3 +162,12 @@ def test_log_y_rejects_nonpositive_and_renders_counts(census_1000):
     flat = [CensusRecord(2, 4, 5), CensusRecord(3, 9, 5)]
     with pytest.raises(DomainError):
         render(flat, PlotConfig(kind="difference", log_y=True))
+
+
+def test_title_escapes_markup_and_leaves_quotes_literal(census_1000):
+    title = 'A & B <i>"x"</i> \'q\' &amp;'
+    document = render(census_1000, PlotConfig(kind="count", title=title))
+    line = next(line for line in document.splitlines() if 'font-size="15"' in line)
+    assert line.endswith(f">{sax_escape(title)}</text>")
+    assert line.endswith('>A &amp; B &lt;i&gt;"x"&lt;/i&gt; \'q\' &amp;amp;</text>')
+    assert ET.fromstring(document).find("svg:text", SVG_NS).text == title

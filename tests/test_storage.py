@@ -463,6 +463,20 @@ def test_importing_the_cli_builds_no_formatter_table():
     assert done.stdout == "0\n"
 
 
+def test_importing_the_cli_loads_no_network_or_process_pool_modules():
+    # html.escape, not xml.sax.saxutils, escapes SVG text, and the census
+    # imports its process pool only when it starts one.
+    heavy = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
+    heavy += ("concurrent.futures", "multiprocessing", "logging")
+    code = (
+        "import sys, numpy; base = set(sys.modules); import primecensus.cli; "
+        f"print(sorted(m for m in set(sys.modules) - base if any(m == h or m.startswith(h + '.') for h in {heavy!r})))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(storage.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("rows", [0, 1, 7999, 8000, 8001, 16001, 8191, 8192, 8193, 16385])
 def test_evaluation_csv_matches_the_per_row_reference(tmp_path, rows):
     scored = [("custom_ratio", _seeded_scores(rows, seed=rows)), ("bertrand", _seeded_scores(rows, seed=rows + 1))]
