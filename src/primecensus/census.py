@@ -6,38 +6,58 @@ count.  Segments may be sieved concurrently, but results are always
 reduced in ascending order, so the emitted stream does not depend on the
 worker count or the segment length.
 
-The segment kernel is a pure function of (lo, hi, basis) and holds only
-odd values, one slot each.  It marks composites in four steps:
+The segment kernel is a pure function of (lo, rows, basis).  It sieves
+on a mod-30 wheel: lo is a multiple of 30, and a segment holds only the
+values coprime to 30, in eight classes of ``rows`` slots, where slot j
+of class r holds lo + 30j + r for r in 1, 7, 11, 13, 17, 19, 23, 29.  So
+8 of every 30 integers take a slot, where an odd-only sieve spends 15,
+and no store of a prime from 19 up lands on a multiple of 3 or 5.  2, 3
+and 5 are never stored; the sweep counts them apart.  The classes are
+sieved one at a time, class-major, in one reused buffer of about rows
+bytes, and each is marked in four steps:
 
-- Pre-sieved start: the segment starts as a copy of a pattern, built on
-  first use, in which the odd multiples of 3..17 are already cleared.  It
-  repeats every 3*5*7*11*13*17 = 255,255 slots and is read from slot
-  ((lo - 1) // 2) mod 255,255; the six primes themselves are set back
-  when they lie in the segment.  The copy has one extra sink slot past
-  the segment's end, which absorbs the scatter's spare indices and is
-  never returned.
-- First hits: one int64 numpy pass over the rest of the basis gives
-  every prime's first odd multiple in [max(lo, p*p), hi), as a slot index.
-- Small primes, from 19 to below T = slots // 64 (16,384 at the default
-  2**21 segment), get one strided store each from that first hit.
-- Large primes hit the segment about 64 times at most.  They are marked
-  one octave [P, 2P) at a time by one scatter whose indices are an outer
+- Pre-sieved start: the class starts as a copy of its row of a pattern,
+  built on first use, in which the multiples of 7, 11, 13 and 17 are
+  already cleared.  It repeats every 7*11*13*17 = 17,017 rows and is read
+  from row (lo // 30) mod 17,017.  In the first segment, lo = 0, slot 0
+  is set back: 1 to composite, 7..17 to prime.  Past the rows the buffer
+  has a sink slot, which absorbs the scatter's spare indices, and pads
+  to a multiple of 8 bytes; all of that stays False.
+- First hits: the first multiple of p in class r is at row
+  j = -(lo + r) / 30 (mod p).  The basis holds gap / 30 (mod p) for each
+  gap between successive residues, as int32, from 30's inverse
+  (k*p + 1) / 30, with k from a 30-entry table on p mod 30.  One int64
+  pass per segment gives the row for r = 0; each class steps down from
+  the one before by its gap, with a conditional add and no division.  A
+  prime with p*p > lo starts at p*p.
+- Small primes, from 19 to below T = rows // 64 (17,476 at the default
+  segment), get one strided store each from that first hit.
+- Large primes hit a class about 64 times at most.  They are marked a
+  group at a time, the primes of one octave [P, 2P) cut into groups of
+  at most 32,768 hit indices, by one scatter whose indices are an outer
   product: row k holds every prime's k-th hit, for k below
-  ceil(slots / P), and an index past the segment is clamped to the sink.
+  ceil(rows / P), and an index past the class is clamped to the sink.
   The hit-major order matters: the stores of one row climb through the
-  segment about in order, so they miss the cache less than the same
-  indices taken prime by prime, each prime sweeping the whole segment
+  class about in order, so they miss the cache less than the same
+  indices taken prime by prime, each prime sweeping the whole class
   again.  This is the numpy form of a bucket sieve.
-  Pattern and buckets are the standard devices of segmented sieves
-  (T. Oliveira e Silva, 2001; K. Walisch, primesieve).
+  Wheel, pattern and buckets are the standard devices of segmented
+  sieves (T. Oliveira e Silva, 2001; K. Walisch, primesieve).
 
-T follows the segment length and the pattern offset follows lo, so no
-state carries across segments and the output stays independent of how
-the range is cut.  Segments are DEFAULT_SEGMENT_LEN = 2**21 numbers, a
-1 MB mask, half of a 2 MB per-core L2, where a strided store costs a
-quarter to a half less than on a 2 MB mask.  A pool sweep keeps an
-in-order window of at most 4 * workers submitted segments and submits
-one more as each result is drawn.
+Each class's counts at the segment's square boundaries come from one
+vectorised pass: the buffer read as 64-bit words, 8 slots each, their
+popcounts summed between boundaries by ``np.add.reduceat``.
+
+Segments start at the multiple of 30 at or below the sweep's cursor and
+are DEFAULT_SEGMENT_LEN = 2**25 numbers, rounded down to a multiple of
+30: 1,118,481 rows, a 1.1 MB class buffer beside a 256 KB workspace of
+hit indices, within a 2 MB per-core L2.  The last segment is clipped to end
+at the first multiple of 30 past the limit, and the counts mask the
+values below the cursor and above the limit.  T follows the segment
+length and the pattern offset follows lo, so no state carries across
+segments and the output stays independent of how the range is cut.  A
+pool sweep keeps an in-order window of at most 4 * workers submitted
+segments and submits one more as each result is drawn.
 
 ``write_census_file`` is the one writer of census files.  Its crash rule:
 a census under its final name is complete, or a checkpoint on disk covers
@@ -49,7 +69,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import os
 from dataclasses import asdict, dataclass, fields
 from itertools import islice
@@ -67,15 +86,28 @@ from .errors import (
 )
 from .pi_oracle import MAX_SQUARE_BASE
 
-DEFAULT_SEGMENT_LEN = 1 << 21  # numbers per segment; half that many odd slots
+DEFAULT_SEGMENT_LEN = 1 << 25  # numbers per segment, rounded down to a multiple of 30
 CHECKPOINT_EVERY = 1000  # x values between the checkpoints of a census file
 # Largest base sieve (flags plus int64 prefix, 9 bytes per integer) to
 # attempt: n_max up to about 2.98e7, where the paper needs 449,999.
 BASE_SIEVE_MAX_BYTES = 1 << 28
-# Every segment starts with the odd multiples of these primes cleared, from
-# a pattern whose period in odd slots is their product.
-_PRESIEVE_PRIMES = (3, 5, 7, 11, 13, 17)
-_PRESIEVE_PERIOD = prod(_PRESIEVE_PRIMES)
+# The wheel: a segment stores only the values coprime to 30, one class of
+# rows per residue, so no multiple of 2, 3 or 5 takes a slot.
+_WHEEL = 30
+_RESIDUES = (1, 7, 11, 13, 17, 19, 23, 29)
+_GAPS = tuple(r - q for q, r in zip((0,) + _RESIDUES, _RESIDUES))  # 1, 6, 4, 2, 4, 2, 4, 6
+# The inverse of 30 modulo a prime p is (k * p + 1) / 30, with
+# k = _INV30_K[p % 30] the k in 0..29 for which k * p = -1 (mod 30).
+_INV30_K = np.array(
+    [next((k for k in range(_WHEEL) if (k * r + 1) % _WHEEL == 0), 0) for r in range(_WHEEL)], dtype=np.int64)
+# _LOW_BYTES[k] keeps the first k bytes of a little-endian 64-bit word.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
+# Every class starts with the multiples of these primes cleared, from a
+# pattern whose period in rows is their product.
+_PRESIEVE_PRIMES = (7, 11, 13, 17)
+_PRESIEVE_ROWS = prod(_PRESIEVE_PRIMES)
+# Hit indices one scatter call takes at most: a 256 KB int64 workspace.
+_SCATTER_HITS = 1 << 15
 
 CENSUS_HEADER = "x,x_squared,prime_count"
 CHECKPOINT_VERSION = "primecensus-checkpoint-v1"
@@ -140,79 +172,109 @@ def sieve_flags(n: int) -> np.ndarray:
     return flags
 
 
-def _odd_sieve_basis(flags: np.ndarray):
-    """Odd primes flagged in ``flags`` and their squares, as int64 arrays."""
-    primes = np.flatnonzero(flags)[1:].astype(np.int64)  # drop 2; odd multiples only in segments
-    return primes, primes * primes
+def _wheel_basis(flags: np.ndarray):
+    """The primes from 19 up flagged in ``flags``, as int64, and a dict that
+    maps each gap of _GAPS to gap / 30 modulo each prime, as int32."""
+    primes = np.flatnonzero(flags[19:]).astype(np.int64) + 19
+    inv30 = (_INV30_K[primes % _WHEEL] * primes + 1) // _WHEEL
+    return primes, {gap: (gap * inv30 % primes).astype(np.int32) for gap in set(_GAPS)}
 
 
 @functools.cache
 def _presieve_pattern() -> np.ndarray:
-    """Two periods of odd slots, slot k for the value 2k + 1, with every odd
-    multiple of a _PRESIEVE_PRIMES prime cleared (the primes too).  Built on
-    the first sieved segment, so processes that never sieve skip it."""
-    pattern = np.ones(2 * _PRESIEVE_PERIOD, dtype=bool)
-    for q in _PRESIEVE_PRIMES:
-        pattern[(q - 1) // 2 :: q] = False  # strided stores: no int64 index array
+    """Two periods of rows for each residue class: pattern[i, j] is False
+    when 30j + _RESIDUES[i] is a multiple of a _PRESIEVE_PRIMES prime.  Built
+    on the first sieved segment, so processes that never sieve skip it."""
+    pattern = np.ones((len(_RESIDUES), 2 * _PRESIEVE_ROWS), dtype=bool)
+    for row, r in zip(pattern, _RESIDUES):
+        for q in _PRESIEVE_PRIMES:
+            row[-r * pow(_WHEEL, -1, q) % q :: q] = False  # strided stores: no int64 index array
     return pattern
 
 
-def _sieve_odd_segment(lo: int, hi: int, primes: np.ndarray, prime_squares: np.ndarray) -> np.ndarray:
-    """Primality mask for the odd values lo, lo+2, ..., < hi (lo odd).
+def _wheel_masks(lo: int, rows: int, basis) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (r, buffer) for each residue r of _RESIDUES in turn, where
+    buffer[j] tells whether lo + 30j + r is prime, for j < rows (lo a
+    multiple of 30), sieved in the steps the module docstring lists.
 
-    Slot j holds lo + 2j, and the odd multiples of an odd prime p are p
-    slots apart.  The mask starts as a copy of the pre-sieve pattern from
-    slot (lo - 1) // 2 on, so the primes up to 17 are done.  The other
-    primes below T = slots // 64 are marked with one strided store each.
-    The rest are marked one octave [P, 2P) at a time: an outer product
-    gives ceil(slots / P) rows of hits, row k holding each prime's k-th
-    hit, and every hit at or past the end is clamped to a sink slot that
-    the returned mask leaves out.
+    All classes are sieved in one buffer, refilled for the next, so a
+    caller that keeps a mask copies it.  The buffer's length is the
+    multiple of 8 just past rows, and every byte from buffer[rows], the
+    sink, on is False.
     """
-    slots = (hi - lo) // 2
-    offset = ((lo - 1) // 2) % _PRESIEVE_PERIOD
-    # A copy with one slot more than the segment: mask[slots] is the sink.
-    mask = np.resize(_presieve_pattern()[offset : offset + _PRESIEVE_PERIOD], slots + 1)
-    for q in _PRESIEVE_PRIMES:
-        if lo <= q < hi:  # only in a segment that starts below 19
-            mask[(q - lo) // 2] = True
-    skip = int(np.searchsorted(primes, _PRESIEVE_PRIMES[-1], side="right"))
-    cut = int(np.searchsorted(prime_squares, hi))  # primes with p*p < hi
-    primes = primes[skip:cut]
-    # lo + r is the first multiple of p >= lo; adding p makes it odd if it is not.
-    r = (-lo) % primes
-    r += (r & 1) * primes
-    first = np.maximum(r >> 1, (prime_squares[skip:cut] - lo) >> 1)
-
-    a = int(np.searchsorted(primes, slots // 64))
-    for p, j in zip(primes[:a].tolist(), first[:a].tolist()):
-        mask[j::p] = False
-    while a < len(primes):
-        low = int(primes[a])
-        z = int(np.searchsorted(primes, 2 * low))
-        # No prime in [low, 2 * low) hits the segment more than ceil(slots / low) times.
-        ix = np.multiply.outer(np.arange(-(-slots // low)), primes[a:z])
-        ix += first[a:z]  # in place: a second array per octave was measurably slower
-        np.minimum(ix, slots, out=ix)
-        mask[ix.ravel()] = False
+    primes, steps = basis
+    cut = int(np.searchsorted(primes, isqrt(lo + _WHEEL * rows - 1), side="right"))  # p*p < hi
+    primes = primes[:cut]
+    steps = {gap: step[:cut] for gap, step in steps.items()}
+    late = int(np.searchsorted(primes, isqrt(lo), side="right"))  # p*p > lo from here: start at p*p
+    p_late = primes[late:]
+    sq_late = p_late * p_late
+    # hit walks the classes: for residue r it holds the row j of the first
+    # multiple of p, lo + 30j + r = 0 (mod p), one step of gap / 30 (mod p)
+    # down from the residue before.  It starts at r = 0.
+    hit = (-lo) % primes * steps[1] % primes
+    first = np.empty_like(hit)
+    small = int(np.searchsorted(primes, rows // 64))
+    # (a, z, k): primes[a:z] lie in one octave [P, 2P), so none hits a class
+    # more than k = ceil(rows / P) times, and their k * (z - a) hit indices
+    # fit in _SCATTER_HITS.
+    groups = []
+    a = small
+    while a < cut:
+        k = -(-rows // int(primes[a]))
+        z = min(int(np.searchsorted(primes, 2 * primes[a])), a + max(1, _SCATTER_HITS // k))
+        groups.append((a, z, k))
         a = z
-    return mask[:slots]
+    hits = np.empty(max((k * (z - a) for a, z, k in groups), default=0), dtype=np.int64)
+    offset = lo // _WHEEL % _PRESIEVE_ROWS
+    whole = rows - rows % _PRESIEVE_ROWS
+    mask = np.zeros(rows + 8 - rows % 8, dtype=bool)  # only False is ever stored past the rows
+    for pattern, r, gap in zip(_presieve_pattern(), _RESIDUES, _GAPS):
+        period = pattern[offset : offset + _PRESIEVE_ROWS]
+        mask[:whole].reshape(-1, _PRESIEVE_ROWS)[:] = period
+        mask[whole:rows] = period[: rows - whole]
+        if lo == 0:
+            mask[0] = r > 1  # 1 is not prime; 7..29 are, and 7..17 were cleared
+        hit -= steps[gap]  # no division: add p back where it went negative, first as workspace
+        np.right_shift(hit, 63, out=first)
+        first &= primes
+        hit += first
+        np.copyto(first, hit)
+        if late < cut:
+            low_row = (sq_late - lo - r + _WHEEL - 1) // _WHEEL  # the first row >= p*p
+            first[late:] = low_row + (first[late:] - low_row) % p_late
+        for p, j in zip(primes[:small].tolist(), first[:small].tolist()):
+            mask[j::p] = False
+        for a, z, k in groups:
+            # Row i of ix holds the i-th hit of every prime of the group.
+            ix = hits[: k * (z - a)].reshape(k, z - a)
+            np.multiply.outer(np.arange(k), primes[a:z], out=ix)
+            ix += first[a:z]
+            np.minimum(ix, rows, out=ix)
+            mask[ix.ravel()] = False
+        yield r, mask
 
 
-def _segment_counts(lo, hi, squares, primes, prime_squares):
-    """Sieve one segment; report its total odd-prime count and, for every
-    square boundary b inside it, the count of odd primes in [lo, b]."""
-    mask = _sieve_odd_segment(lo, hi, primes, prime_squares)
-    boundary_counts = []
-    prev_off = 0
-    running = 0
-    for x, b in squares:
-        off = (b - lo) // 2 + 1
-        running += int(np.count_nonzero(mask[prev_off:off]))
-        prev_off = off
-        boundary_counts.append((x, running))
-    total = running + int(np.count_nonzero(mask[prev_off:]))
-    return total, boundary_counts
+def _prefix_counts(buffer: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The number of True in buffer[:s] for each s of the ascending
+    ``stops``, all below len(buffer), a multiple of 8.  Each 64-bit word
+    holds 8 rows, one byte each, so its popcount is its count of True."""
+    words = buffer.view("<u8")
+    spans = np.concatenate(([0], stops >> 3))
+    whole = np.add.reduceat(np.bitwise_count(words), spans, dtype=np.int64)[:-1]
+    whole[spans[1:] == spans[:-1]] = 0  # reduceat sums one word, not none, over an empty span
+    return np.cumsum(whole) + np.bitwise_count(words[spans[1:]] & _LOW_BYTES[stops & 7])
+
+
+def _segment_counts(lo, rows, ends, basis) -> np.ndarray:
+    """Sieve one segment; for each value e of the ascending ``ends``, count
+    the primes of the segment's wheel rows that are at most e."""
+    ends = np.asarray(ends, dtype=np.int64)
+    counts = np.zeros(len(ends), dtype=np.int64)
+    for r, mask in _wheel_masks(lo, rows, basis):
+        stops = np.clip((ends - lo - r) // _WHEEL + 1, 0, rows)  # rows j < stop hold values <= e
+        counts += _prefix_counts(mask, stops)
+    return counts
 
 
 _WORKER_BASIS = None
@@ -220,12 +282,11 @@ _WORKER_BASIS = None
 
 def _init_segment_worker(n_max):
     global _WORKER_BASIS
-    _WORKER_BASIS = _odd_sieve_basis(sieve_flags(n_max))
+    _WORKER_BASIS = _wheel_basis(sieve_flags(n_max))
 
 
 def _segment_job(task):
-    lo, hi, squares = task
-    return _segment_counts(lo, hi, squares, *_WORKER_BASIS)
+    return _segment_counts(*task, _WORKER_BASIS)
 
 
 def _in_order(pool, tasks, window):
@@ -238,19 +299,32 @@ def _in_order(pool, tasks, window):
 
 
 def _segment_tasks(cursor: int, limit: int, start_x: int, n_max: int):
-    """Yield (lo, hi, [(x, x*x) boundaries]) covering odd values cursor..limit."""
-    lo = cursor if cursor % 2 == 1 else cursor + 1
+    """Yield (lo, rows, ends) segments covering the values cursor..limit.
+
+    lo is a multiple of 30 and a segment holds 30 * rows values, the last
+    one clipped to end at the first multiple of 30 past ``limit``.  ``ends``
+    is [cursor - 1, every square x*x inside the segment for x = start_x..
+    n_max, limit], so the counts at ends[0] and ends[-1] mask the values
+    below the cursor and above the limit.
+    """
+    rows = max(1, DEFAULT_SEGMENT_LEN // _WHEEL)
+    lo = cursor - cursor % _WHEEL
     x = start_x
     while lo <= limit:
-        hi = min(lo + DEFAULT_SEGMENT_LEN, limit + 1)
-        if hi % 2 == 0:
-            hi += 1  # keep segment bounds odd-aligned
-        squares = []
+        n = min(rows, (limit - lo) // _WHEEL + 1)
+        hi = lo + _WHEEL * n
+        ends = [cursor - 1]
         while x <= n_max and x * x < hi:
-            squares.append((x, x * x))
+            ends.append(x * x)
             x += 1
-        yield lo, hi, squares
+        ends.append(limit)
+        yield lo, n, ends
         lo = hi
+
+
+def _pi_below_7(v: int) -> int:
+    """pi(v) for v < 7; for larger v, the count of 2, 3 and 5, which no wheel row holds."""
+    return (v >= 2) + (v >= 3) + (v >= 5)
 
 
 def count_in_range(x: int) -> int:
@@ -259,16 +333,11 @@ def count_in_range(x: int) -> int:
         raise ValueError("x must be positive")
     if x > MAX_SQUARE_BASE:
         raise RangeTooLargeError(f"x={x}: x**2 exceeds the 64-bit guard")
-    if x == 1:
-        return 0  # [1, 1] holds no primes
-    primes, prime_squares = _odd_sieve_basis(sieve_flags(x))
-    limit = x * x
-    count = 1 if x == 2 else 0  # the prime 2 is in range only for x <= 2
-    lo = max(x, 3)
-    if lo % 2 == 0:
-        lo += 1
-    for seg_lo, seg_hi, _ in _segment_tasks(lo, limit, x, 1):
-        count += int(np.count_nonzero(_sieve_odd_segment(seg_lo, seg_hi, primes, prime_squares)))
+    basis = _wheel_basis(sieve_flags(x))
+    count = _pi_below_7(x * x) - _pi_below_7(x - 1)
+    for lo, rows, ends in _segment_tasks(x, x * x, 1, 0):  # no square boundaries
+        below_x, upto_square = _segment_counts(lo, rows, ends, basis)
+        count += int(upto_square - below_x)
     return count
 
 
@@ -308,16 +377,17 @@ def _sweep_pairs(n_max, workers, start_x, cum_pi_start) -> Iterator[tuple[Census
 
 def _sweep(n_max, flags, workers, start_x, cum_pi_start):
     pi_below = np.cumsum(flags, dtype=np.int64)  # pi_below[v] = pi(v)
-    limit = n_max * n_max
-    cursor = 3 if start_x == 2 else (start_x - 1) ** 2 + 1
-    cum_odd = 0 if start_x == 2 else int(cum_pi_start) - 1  # strip the prime 2
-    tasks = _segment_tasks(cursor, limit, start_x, n_max)
+    cursor = (start_x - 1) ** 2 + 1
+    # Primes of the wheel rows below the cursor: all of pi(cursor - 1) but 2, 3 and 5.
+    wheel = (0 if start_x == 2 else int(cum_pi_start)) - _pi_below_7(cursor - 1)
+    tasks = _segment_tasks(cursor, n_max * n_max, start_x, n_max)
+    next_x = start_x
 
     pool = None
     try:
         if workers == 1:
-            basis = _odd_sieve_basis(flags)
-            results = (_segment_counts(lo, hi, sq, *basis) for lo, hi, sq in tasks)
+            basis = _wheel_basis(flags)
+            results = (_segment_counts(*task, basis) for task in tasks)
         else:
             # Imported here: it loads multiprocessing, logging and queue, which
             # a one-worker run never needs.  Each worker builds its own basis.
@@ -329,11 +399,14 @@ def _sweep(n_max, flags, workers, start_x, cum_pi_start):
                 initargs=(n_max,),
             )
             results = _in_order(pool, tasks, 4 * workers)
-        for total, boundary_counts in results:
-            for x, upto_square in boundary_counts:
-                pi_x2 = 1 + cum_odd + upto_square
-                yield CensusRecord(x, x * x, pi_x2 - int(pi_below[x - 1])), pi_x2
-            cum_odd += total
+        for counts in results:
+            counts = counts[1:] - counts[0]  # from the cursor up to each square, then to the limit
+            xs = np.arange(next_x, next_x + len(counts) - 1)
+            next_x += len(xs)
+            pis = wheel + counts[:-1] + 3 - (xs == 2)  # 2, 3 and 5 lie below every square but 4
+            for x, pi_x2, pi_before in zip(xs.tolist(), pis.tolist(), pi_below[xs - 1].tolist()):
+                yield CensusRecord(x, x * x, pi_x2 - pi_before), pi_x2
+            wheel += int(counts[-1])
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -405,6 +478,8 @@ def _validated_resume(checkpoint_path, path):
     on any edited, missing or reordered row.  Raises
     CheckpointIntegrityError on a wrong header, too few rows or a mismatch.
     """
+    import hashlib  # here, not at the top: it maps OpenSSL, which only the census writer needs
+
     checkpoint = read_checkpoint(checkpoint_path)
     data = Path(path).read_bytes()
     ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))  # ends[0] closes the header
@@ -443,6 +518,8 @@ def write_census_file(
     checkpoint is written every CHECKPOINT_EVERY x, at ``n_max`` and at
     ``stop_after``, the x after which the file ends early.
     """
+    import hashlib  # here, not at the top: see _validated_resume
+
     path = Path(path)
     hasher, keep_offset = resume_from or (hashlib.sha256(), None)
     target = path if resume_from else Path(f"{path}.partial")

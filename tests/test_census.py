@@ -74,163 +74,212 @@ def sweep_at(segment_len, *args, **kwargs):
 
 
 def test_sweep_independent_of_segment_len():
+    # Lengths not a multiple of 30 are cut down to one; 30 and 59 give
+    # one-row segments.
     baseline = list(census_sweep(200))
-    for segment_len in (1024, 4096, 65536):
+    for segment_len in (30, 59, 1000, 1024, 4096, 65536):
         assert sweep_at(segment_len, 200) == baseline
-    # At 2**14 the scatter threshold (slots // 64 = 128) is far below the
-    # largest base prime (2999); the default length strides every prime.
+    # At 2**13 and 2**14 the scatter threshold (rows // 64 = 4 and 8) is
+    # below every basis prime from 19 up, and far below the largest (2999);
+    # the default length strides every prime.
     baseline = list(census_sweep(3000))
-    for segment_len in (2048, 1 << 14):
+    for segment_len in (1 << 13, 1 << 14):
         assert sweep_at(segment_len, 3000) == baseline
 
 
+WHEEL_PRIMES = (2, 3, 5)  # the primes no wheel row holds
+
+
+def wheel_rows(flags, lo, rows, r):
+    """The base sieve's flags for lo + 30j + r, j < rows."""
+    return flags[lo + r : lo + 30 * rows : 30]
+
+
+def class_masks(lo, rows, basis):
+    """Copies of the kernel's eight class masks for [lo, lo + 30 * rows),
+    checking that the classes come in residue order and that every byte
+    of the buffer past the rows, the sink's included, is False."""
+    masks = []
+    for r, buffer in census._wheel_masks(lo, rows, basis):
+        assert len(buffer) % 8 == 0 and len(buffer) > rows, (lo, rows, r)
+        assert not buffer[rows:].any(), (lo, rows, r)
+        masks.append((r, buffer[:rows].copy()))
+    assert [r for r, _ in masks] == [1, 7, 11, 13, 17, 19, 23, 29]
+    return masks
+
+
+def assert_kernel_matches(flags, basis, lo, rows):
+    """Each class's mask for the rows lo + 30j + r, j < rows, agrees with
+    the base sieve."""
+    for r, mask in class_masks(lo, rows, basis):
+        assert mask.shape == (rows,), (lo, rows, r)
+        assert np.array_equal(mask, wheel_rows(flags, lo, rows, r)), (lo, rows, r)
+
+
 def test_segment_kernel_matches_base_sieve_on_short_segments():
-    """Short segments put the scatter threshold at 8..64, so most of the
+    """Short segments put the scatter threshold at 0..4, so most of the
     basis (primes up to 1999, some with no hit at all) is scattered."""
     limit = 2_000_000
     flags = sieve_flags(limit)
-    basis = census._odd_sieve_basis(sieve_flags(2000))
+    basis = census._wheel_basis(sieve_flags(2000))
     rng = random.Random(20261018)
     for i in range(300):
-        segment_len = 2 * rng.randrange(512, 4097)
-        lo = 3 if i == 0 else rng.randrange(3, limit - segment_len) | 1
-        hi = lo + segment_len
-        mask = census._sieve_odd_segment(lo, hi, *basis)
-        assert np.array_equal(mask, flags[lo:hi:2]), (lo, hi)
+        rows = rng.randrange(34, 274)
+        lo = 0 if i == 0 else rng.randrange(0, limit - 30 * rows) // 30 * 30
+        assert_kernel_matches(flags, basis, lo, rows)
 
 
 def assert_full_basis_segment_matches_oracle(lo, length):
-    """One segment sieved with the full-scale basis has as many primes as
-    the oracle counts in [lo, lo + length)."""
-    basis = census._odd_sieve_basis(sieve_flags(449_999))
-    hi = lo + length
-    assert isqrt(hi) < 449_999
-    mask = census._sieve_odd_segment(lo, hi, *basis)
-    assert int(np.count_nonzero(mask)) == prime_pi(hi - 1) - prime_pi(lo - 1)
+    """One segment of ``length`` numbers from lo (a multiple of 30), sieved
+    with the full-scale basis, has as many primes as the oracle counts in
+    its rows' span, less 2, 3 and 5."""
+    basis = census._wheel_basis(sieve_flags(449_999))
+    rows = length // 30
+    hi = lo + 30 * rows
+    assert lo % 30 == 0 and isqrt(hi) < 449_999
+    found = sum(int(np.count_nonzero(mask)) for _, mask in census._wheel_masks(lo, rows, basis))
+    unstored = sum(lo <= p < hi for p in WHEEL_PRIMES)
+    assert found == prime_pi(hi - 1) - prime_pi(lo - 1) - unstored
 
 
 def test_segment_kernel_default_length_at_1e10():
     """One full-length segment with the full-scale basis, against the oracle."""
-    assert_full_basis_segment_matches_oracle(10**10 + 1, DEFAULT_SEGMENT_LEN)
+    assert_full_basis_segment_matches_oracle(10**10 - 10**10 % 30, DEFAULT_SEGMENT_LEN)
 
 
-PRESIEVE_PERIOD = 3 * 5 * 7 * 11 * 13 * 17  # odd slots; twice as many integers
-KERNEL_LIMIT = 8 * PRESIEVE_PERIOD  # four periods of integers
+PRESIEVE_ROWS = 7 * 11 * 13 * 17  # rows of each class; 30 times as many integers
+KERNEL_LIMIT = 4 * 30 * PRESIEVE_ROWS  # four periods of integers
 
 
 @pytest.fixture(scope="module")
 def kernel_flags():
     """Base-sieve flags to KERNEL_LIMIT and the basis that covers it."""
-    return sieve_flags(KERNEL_LIMIT), census._odd_sieve_basis(sieve_flags(isqrt(KERNEL_LIMIT)))
+    return sieve_flags(KERNEL_LIMIT), census._wheel_basis(sieve_flags(isqrt(KERNEL_LIMIT)))
+
+
+def wheel_count(flags, start, end):
+    """The primes in [start, end] that a wheel row can hold (not 2, 3 or 5)."""
+    start = max(start, 0)
+    return int(np.count_nonzero(flags[start : end + 1])) - sum(start <= p <= end for p in WHEEL_PRIMES)
 
 
 @pytest.mark.parametrize("lo", range(3, 22, 2))
 def test_segment_kernel_at_every_small_start(kernel_flags, lo):
-    """Each pre-sieved prime 3..17 is the first slot of one of these segments,
-    and must be left marked prime."""
+    """The first segment, from 0, holds 1 and the pre-sieved primes 7..17 at
+    row 0 of their classes: 1 must be left composite and the primes prime.
+    Each small start ``lo`` is a sweep cursor inside that segment: the
+    counts at lo - 1, lo and lo + 1, whose differences mask the values
+    below the cursor, match the base sieve."""
     flags, basis = kernel_flags
-    for length in (2, 6, 34, 1000, 2 * PRESIEVE_PERIOD + 10):
-        mask = census._sieve_odd_segment(lo, lo + length, *basis)
-        assert np.array_equal(mask, flags[lo : lo + length : 2]), (lo, length)
+    for rows in (1, 2, 3, 34, 1000, 2 * PRESIEVE_ROWS + 10):
+        assert_kernel_matches(flags, basis, 0, rows)
+        ends = sorted({lo - 1, lo, lo + 1, 30, 49, 121, 289, 30 * rows - 1, 30 * rows + 7})
+        counts = census._segment_counts(0, rows, ends, basis)
+        assert counts.tolist() == [wheel_count(flags, 0, min(e, 30 * rows - 1)) for e in ends], (lo, rows)
+
+
+def test_segment_counts_match_the_base_sieve(kernel_flags):
+    """Seeded ends below, inside and past a segment, repeated ones among
+    them, count the wheel primes from lo up to each end."""
+    flags, basis = kernel_flags
+    rng = random.Random(30)
+    for _ in range(100):
+        rows = rng.randrange(1, 3 * PRESIEVE_ROWS)
+        lo = rng.randrange(0, KERNEL_LIMIT - 30 * rows) // 30 * 30
+        hi = lo + 30 * rows
+        ends = sorted(rng.randrange(lo - 40, hi + 40) for _ in range(rng.randrange(1, 30)))
+        ends += ends[-1:]
+        counts = census._segment_counts(lo, rows, ends, basis)
+        assert counts.tolist() == [wheel_count(flags, lo, min(e, hi - 1)) for e in ends], (lo, rows)
 
 
 def test_segment_kernel_on_lengths_off_the_period(kernel_flags):
     """Segments shorter than the pattern's period and lengths that are not
     a multiple of it, from starts at, just before and just after a period."""
     flags, basis = kernel_flags
-    starts = [2 * PRESIEVE_PERIOD * k + d for k in (1, 2) for d in (-1, 1, 3)]
+    starts = [30 * PRESIEVE_ROWS * k + d for k in (1, 2) for d in (-30, 0, 30)]
     for lo in starts:
-        for length in (2, 20, 2 * PRESIEVE_PERIOD - 2, 2 * PRESIEVE_PERIOD + 2, 3 * PRESIEVE_PERIOD + 1):
-            mask = census._sieve_odd_segment(lo, lo + length, *basis)
-            assert np.array_equal(mask, flags[lo : lo + length : 2]), (lo, length)
+        for rows in (1, 10, PRESIEVE_ROWS - 1, PRESIEVE_ROWS + 1, 3 * PRESIEVE_ROWS // 2 + 1):
+            assert_kernel_matches(flags, basis, lo, rows)
 
 
 def test_segment_kernel_across_a_period_wrap(kernel_flags):
-    """Seeded segments that start within 1,000 slots of a period's end and
+    """Seeded segments that start within 1,000 rows of a period's end and
     run past it, some past the next one too."""
     flags, basis = kernel_flags
     rng = random.Random(9)
     for _ in range(40):
-        period_end = 2 * PRESIEVE_PERIOD * rng.randrange(1, 3)
-        lo = period_end - 2 * rng.randrange(1, 1000) + 1
-        length = 2 * rng.randrange(1000, 2 * PRESIEVE_PERIOD)
-        mask = census._sieve_odd_segment(lo, lo + length, *basis)
-        assert np.array_equal(mask, flags[lo : lo + length : 2]), (lo, length)
+        period_end = 30 * PRESIEVE_ROWS * rng.randrange(1, 3)
+        lo = period_end - 30 * rng.randrange(1, 1000)
+        rows = rng.randrange(1000, 2 * PRESIEVE_ROWS)
+        assert_kernel_matches(flags, basis, lo, rows)
 
 
 def test_segment_kernel_default_length_near_full_scale():
     """One default-length segment at the top of the paper's census, against the oracle."""
-    assert_full_basis_segment_matches_oracle(190_000_000_001, DEFAULT_SEGMENT_LEN)
+    assert_full_basis_segment_matches_oracle(190_000_000_020, DEFAULT_SEGMENT_LEN)
 
 
 def test_segment_kernel_2_22_length_near_full_scale():
-    """One 2**22 segment, twice the default, at the top of the paper's
-    census: T = slots // 64 is 32,768 there, so primes the default length
-    scatters get strided stores."""
-    assert_full_basis_segment_matches_oracle(190_000_000_001, 1 << 22)
+    """One 2**22 segment, a quarter of the default, at the top of the
+    paper's census: T = rows // 64 is 2,184 there, so primes the default
+    length strides get scattered."""
+    assert_full_basis_segment_matches_oracle(190_000_000_020, 1 << 22)
 
 
 def test_segment_kernel_copies_its_pattern(kernel_flags):
     """Sieving never writes through to the module's pre-sieve pattern."""
     _, basis = kernel_flags
     before = census._presieve_pattern().copy()
-    for lo in (3, 5, 17, 2 * PRESIEVE_PERIOD + 1, 10**6 + 1):
-        for length in (1000, 2 * PRESIEVE_PERIOD + 100):
-            census._sieve_odd_segment(lo, lo + length, *basis)
+    for lo in (0, 30, 510, 30 * PRESIEVE_ROWS, 10**6 - 10**6 % 30):
+        for rows in (1000, PRESIEVE_ROWS + 100):
+            class_masks(lo, rows, basis)
     assert np.array_equal(census._presieve_pattern(), before)
-
-
-def assert_kernel_matches(flags, basis, lo, length):
-    """The kernel's mask for [lo, lo + length) has one entry per odd value,
-    none for the sink slot, and agrees with the base sieve."""
-    mask = census._sieve_odd_segment(lo, lo + length, *basis)
-    assert mask.shape == (length // 2,), (lo, length)
-    assert np.array_equal(mask, flags[lo : lo + length : 2]), (lo, length)
 
 
 @pytest.mark.parametrize("q", [19, 23, 37, 101, 127])
 @pytest.mark.parametrize("times", [1, 2])
 def test_segment_kernel_with_threshold_on_a_prime(kernel_flags, q, times):
-    """slots // 64 is exactly q, so q is the first banded prime and its
+    """rows // 64 is exactly q, so q is the first banded prime and its
     octave ends at 2q, or exactly 2q, the end of that octave."""
     flags, basis = kernel_flags
     rng = random.Random(q * times)
     for extra in (0, 1, 31, 63):
-        slots = 64 * times * q + extra
-        for lo in [3, 2 * q + 1] + [rng.randrange(3, KERNEL_LIMIT - 2 * slots) | 1 for _ in range(8)]:
-            assert_kernel_matches(flags, basis, lo, 2 * slots)
+        rows = 64 * times * q + extra
+        for lo in [0, q * q - q * q % 30] + [rng.randrange(0, KERNEL_LIMIT - 30 * rows) // 30 * 30 for _ in range(8)]:
+            assert_kernel_matches(flags, basis, lo, rows)
 
 
 def test_segment_kernel_below_64_slots_bands_every_prime(kernel_flags):
-    """With fewer than 64 slots the threshold is 0: every basis prime above
+    """With fewer than 64 rows the threshold is 0: every basis prime above
     17 is marked by the octave scatter, most with a single hit or none."""
     flags, basis = kernel_flags
     rng = random.Random(64)
-    for slots in (1, 2, 18, 19, 32, 50, 63):
-        for lo in [3, 19, 37] + [rng.randrange(3, KERNEL_LIMIT - 2 * slots) | 1 for _ in range(20)]:
-            assert_kernel_matches(flags, basis, lo, 2 * slots)
+    for rows in (1, 2, 18, 19, 32, 50, 63):
+        for lo in [0, 30, 360] + [rng.randrange(0, KERNEL_LIMIT - 30 * rows) // 30 * 30 for _ in range(20)]:
+            assert_kernel_matches(flags, basis, lo, rows)
 
 
 def test_segment_kernel_with_primes_beyond_the_segment(kernel_flags):
-    """Basis primes up to 1,427 against segments of 20..700 slots: the first
+    """Basis primes up to 1,427 against segments of 20..700 rows: the first
     hit of most of them falls at or past the segment's end, the sink slot."""
     flags, basis = kernel_flags
     assert basis[0][-1] > 700
     rng = random.Random(1427)
     for _ in range(200):
-        slots = rng.randrange(20, 701)
-        lo = rng.randrange(KERNEL_LIMIT // 2, KERNEL_LIMIT - 2 * slots) | 1
-        assert_kernel_matches(flags, basis, lo, 2 * slots)
+        rows = rng.randrange(20, 701)
+        lo = rng.randrange(KERNEL_LIMIT // 2, KERNEL_LIMIT - 30 * rows) // 30 * 30
+        assert_kernel_matches(flags, basis, lo, rows)
 
 
 @settings(max_examples=300, deadline=None)
-@given(start=st.integers(1, KERNEL_LIMIT // 2 - 1), slots=st.integers(1, 40_000))
-def test_segment_kernel_property(kernel_flags, start, slots):
-    """Any odd lo and any length agree with the base sieve."""
+@given(start=st.integers(0, KERNEL_LIMIT // 30 - 1), rows=st.integers(1, 40_000))
+def test_segment_kernel_property(kernel_flags, start, rows):
+    """Any lo, a multiple of 30, and any length agree with the base sieve."""
     flags, basis = kernel_flags
-    lo = 2 * start + 1
-    slots = min(slots, (KERNEL_LIMIT + 1 - lo) // 2)
-    assert_kernel_matches(flags, basis, lo, 2 * slots)
+    lo = 30 * start
+    rows = min(rows, (KERNEL_LIMIT + 1 - lo) // 30)
+    assert_kernel_matches(flags, basis, lo, rows)
 
 
 def test_oversized_base_sieve_fails_before_allocating(tmp_path, monkeypatch):
@@ -256,18 +305,26 @@ def test_oversized_base_sieve_fails_before_allocating(tmp_path, monkeypatch):
 
 def test_sweep_independent_of_segment_len_at_full_scale_offsets():
     """A seeded 5-x slice near the top of the paper's census, resumed from
-    the oracle's pi((A-1)**2), reads the same at four segment lengths, one
-    of them not a power of two, and its last row matches the counter."""
+    the oracle's pi((A-1)**2), reads the same at six segment lengths, three
+    of them not a multiple of 30, and its last row matches the counter.
+    Resumed again from each of its rows, at cursors (x-1)**2 + 1 that fall
+    at several offsets from a multiple of 30, it reads the same tail."""
     a = random.Random(449).randrange(448_000, 449_995)
     b = a + 4
     cum_pi = prime_pi((a - 1) ** 2)
     sweeps = [
         sweep_at(segment_len, b, start_x=a, cum_pi_start=cum_pi)
-        for segment_len in (1 << 20, 1 << 21, 1 << 22, 3 * (1 << 20) + 2)
+        for segment_len in (1 << 20, 1 << 21, 1 << 22, 3 * (1 << 20) + 2, DEFAULT_SEGMENT_LEN, 30 * 70_001)
     ]
     assert [r.x for r in sweeps[0]] == list(range(a, b + 1))
     assert all(rows == sweeps[0] for rows in sweeps[1:])
     assert sweeps[0][-1].prime_count == count_in_range_oracle(b)
+    pairs = list(census._sweep_pairs(b, 1, a, cum_pi))
+    assert [record for record, _ in pairs] == sweeps[0]
+    assert len({(x * x + 1) % 30 for x in range(a, b)}) > 1
+    for k, (record, pi_square) in enumerate(pairs[:-1]):
+        for segment_len in (1 << 20, DEFAULT_SEGMENT_LEN):
+            assert sweep_at(segment_len, b, start_x=record.x + 1, cum_pi_start=pi_square) == sweeps[0][k + 1 :]
 
 
 def test_pool_draws_a_bounded_window_of_tasks(monkeypatch):

@@ -464,10 +464,11 @@ def test_importing_the_cli_builds_no_formatter_table():
 
 
 def test_importing_the_cli_loads_no_network_or_process_pool_modules():
-    # html.escape, not xml.sax.saxutils, escapes SVG text, and the census
-    # imports its process pool only when it starts one.
+    # html.escape, not xml.sax.saxutils, escapes SVG text, the census
+    # imports its process pool only when it starts one, and hashlib (which
+    # maps OpenSSL) only when it writes or resumes a census file.
     heavy = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
-    heavy += ("concurrent.futures", "multiprocessing", "logging")
+    heavy += ("concurrent.futures", "multiprocessing", "logging", "hashlib")
     code = (
         "import sys, numpy; base = set(sys.modules); import primecensus.cli; "
         f"print(sorted(m for m in set(sys.modules) - base if any(m == h or m.startswith(h + '.') for h in {heavy!r})))"
