@@ -129,18 +129,21 @@ def _summaries(args, model_text, out_path=None):
 
     With ``out_path``, the per-row evaluation CSV of the count models is
     written there as well, every float as its repr
-    (``storage.write_evaluation_csv``); each of them is scored a second
-    time for it.
+    (``storage.write_evaluation_csv``), from the scores each model's
+    summary was made of.
     """
     specs = _specs_for(_parse_models(model_text), args.constants, args.set_constants)
     table = storage.read_census(args.census)
-    summaries = [
-        evaluate_difference_model(table, spec) if spec.kind == models.DIFFERENCE_LINE else evaluate_model(table, spec)
-        for spec in specs
-    ]
+    summaries, scored = [], []
+    for spec in specs:
+        if spec.kind == models.DIFFERENCE_LINE:
+            summaries.append(evaluate_difference_model(table, spec))
+            continue
+        scores = score(table, spec) if out_path else None  # kept for the rows file only
+        summaries.append(evaluate_model(table, spec, scores))
+        scored.append((spec.kind, scores))
     if out_path:
-        counted = (spec for spec in specs if spec.kind != models.DIFFERENCE_LINE)
-        storage.write_evaluation_csv(out_path, ((spec.kind, score(table, spec)) for spec in counted))
+        storage.write_evaluation_csv(out_path, scored)
     return summaries
 
 

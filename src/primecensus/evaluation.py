@@ -190,9 +190,11 @@ def score(census: Iterable, spec: ModelSpec) -> Scores:
     return _scores(xs, preds, trues)
 
 
-def evaluate_model(census: Iterable, spec: ModelSpec) -> EvaluationSummary:
-    """Average relative error and match tallies of a count model on a census."""
-    return _summarize(spec, score(census, spec))
+def evaluate_model(census: Iterable, spec: ModelSpec, scores: Optional[Scores] = None) -> EvaluationSummary:
+    """Average relative error and match tallies of a count model on a
+    census, from ``scores`` when they are its ``score(census, spec)``
+    already."""
+    return _summarize(spec, score(census, spec) if scores is None else scores)
 
 
 def evaluate_difference_model(census: Iterable, spec: Optional[ModelSpec] = None) -> EvaluationSummary:

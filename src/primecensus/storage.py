@@ -3,10 +3,12 @@
 Census CSV: header ``x,x_squared,prime_count``, ascending consecutive x,
 plain decimal integers (digits with an optional leading ``-``) that fit
 in int64; lines end in ``\\n``, ``\\r\\n`` or a lone ``\\r``, and blank
-lines are skipped.  ``read_census`` reads the file as bytes, finds the
-first malformed line of each block of lines with byte-level checks,
-parses the lines above it with ``np.fromstring`` and checks their rows;
-it returns the whole file as one census table, an int64 record array
+lines are skipped.  ``read_census`` reads the file as bytes, in chunks
+of whole lines.  A chunk's lines of one width are the rows of one uint8
+matrix, a view of the bytes where they are consecutive, and its lines
+with their commas in the same columns form a layout, checked and parsed
+by column operations, four characters at a time; no step runs per line.
+It returns the whole file as one census table, an int64 record array
 with fields x, x_squared and prime_count.
 ``write_census`` hands a record stream to ``census.write_census_file``,
 the one census writer, so a census under its final name is always
@@ -28,6 +30,7 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .census import CENSUS_DTYPE, CENSUS_HEADER, census_table, write_census_file
 from .errors import (
@@ -48,11 +51,11 @@ EVALUATION_HEADER = "x,true_count,model,prediction,relative_error,match_class"
 # cache set, which made that gather about twice as slow.
 _EVALUATION_BLOCK = 8000
 
-# Census text is validated and parsed this many bytes at a time, in whole
-# lines, so the block's arrays stay small next to the file and the table.
-_BLOCK = 1 << 17
-_BODY_BYTES = b"0123456789,\n-"  # any other byte fails its line
-_SEPARATORS_TO_SPACES = bytes.maketrans(b",\n", b"  ")
+# Census text is read this many bytes at a time, in whole lines, so a
+# chunk's arrays stay small next to the file and the table, and in cache.
+_CHUNK = 1 << 19
+_ZEROS = 0x30303030  # "0000", four characters as a little-endian uint32
+_DASH = ord("-") - ord("0") & 0xFF  # a dash, less "0", as a uint8
 
 
 def format_real(value: float) -> str:
@@ -87,63 +90,159 @@ def read_census(path) -> np.recarray:
     header = data[: pos - 1].decode("ascii", "replace")
     if header != CENSUS_HEADER:
         raise CensusHeaderError(f"expected header {CENSUS_HEADER!r}, got {header!r}", line=1)
-    parts = [np.empty(0, dtype=np.int64)]  # the fields of each block, row by row
-    prev, line = None, 2  # the x of the last row parsed; the line number of the block's first line
+    text = np.frombuffer(data, dtype=np.uint8)
+    # Room for every row: each row read took six bytes or more, and each
+    # non-blank line of the chunk being read two.  Pages never written cost nothing.
+    table = np.empty((len(data) // 6 + _CHUNK // 2 + 1, 3), dtype=np.int64)
+    rows, line = 0, 2  # the rows read; the line number of the chunk's first line
     while pos < len(data):
-        stop = data.rfind(b"\n", pos, pos + _BLOCK) + 1 or data.index(b"\n", pos + _BLOCK) + 1
-        block, pos = data[pos:stop], stop
-        defect, ends, lines = _first_defect(block)
-        cut = block.rfind(b"\n", 0, defect) + 1  # the start of the first malformed line
-        fields = np.fromstring(block[:cut].translate(_SEPARATORS_TO_SPACES), dtype=np.int64, sep=" ")
-        fields = fields[: 3 * np.searchsorted(ends, cut)]  # text of blank lines alone parses as [0]
-        rows = fields.reshape(-1, 3)
-        _check_rows(rows, prev, lambda i: line + block.count(b"\n", 0, ends[i]))
-        if cut < len(block):
-            text = block[cut : block.index(b"\n", cut)].decode("ascii", "replace")
-            raise CensusRowError(f"expected three plain int64 fields, got {text!r}", line=line + block.count(b"\n", 0, cut))
-        parts.append(fields)
-        prev = int(rows[-1, 0]) if len(rows) else prev
-        line += lines
-    del data  # free the file's bytes before the table is built
-    return census_table(np.concatenate(parts).view(CENSUS_DTYPE))
+        stop = data.rfind(b"\n", pos, pos + _CHUNK) + 1 or data.index(b"\n", pos + _CHUNK) + 1
+        count, lines = _read_chunk(text, pos, stop, table[rows - 1, 0] if rows else None, line, table[rows:])
+        rows, pos, line = rows + count, stop, line + lines
+    del data, text
+    table.resize((rows, 3), refcheck=False)  # in place; no view of it is left
+    return census_table(table.reshape(-1).view(CENSUS_DTYPE))
 
 
-def _first_defect(block: bytes):
-    """Validate ``block``, whole lines of census text: the offset of the
-    first byte that breaks the field rules, or ``len(block)``; the offsets
-    of the newlines that end its rows, valid up to that line; and its
-    number of lines."""
-    stray = block.translate(None, _BODY_BYTES)  # its first byte is the block's first stray byte
-    defect = block.find(stray[:1]) if stray else len(block)
-    a = np.frombuffer(block, dtype=np.uint8)
-    marks = np.flatnonzero(a <= ord("-"))  # every comma, newline and dash, and stray bytes below them
-    dash = a[marks] == ord("-")
-    # A dash must open a field and precede a digit.  At offset 0, a[-1] is
-    # the block's closing newline, which opens a field as well.
-    at = marks[dash]
-    before, after = a[at - 1], a[at + 1]
-    signs = ((before == ord(",")) | (before == ord("\n"))) & (after >= ord("0")) & (after <= ord("9"))
-    seps = marks[~dash]
-    newline = a[seps] == ord("\n")
-    width = seps - np.concatenate(([-1], seps[:-1])) - 1  # the length of the field each separator closes
-    blank = newline & (width == 0) & np.concatenate(([True], newline[:-1]))
-    lines = int(np.count_nonzero(newline))
-    seps, newline, width = seps[~blank], newline[~blank], width[~blank]
-    # Each row is a comma, a comma and a newline, each closing a field.  A
-    # stray byte below the comma counts as a comma here: it is a defect anyway.
-    wrong = newline.copy()
-    wrong[2::3] = ~newline[2::3]
-    wrong |= width == 0
-    for found in (at[~signs], seps[wrong]):
-        if found.size:
-            defect = min(defect, int(found[0]))
-    # Only a field of 19 characters or more can fall outside int64; those
-    # closed before the first defect hold nothing but digits and a sign.
-    for j in np.flatnonzero((width >= 19) & (seps <= defect)).tolist():
-        if not -(2**63) <= int(block[seps[j] - width[j] : seps[j]]) < 2**63:
-            defect = int(seps[j])
-            break
-    return defect, seps[2::3], lines
+def _read_chunk(text: np.ndarray, pos: int, stop: int, prev, line, out):
+    """Validate and parse ``text[pos:stop]``, whole lines of census text from
+    line number ``line`` on, ``prev`` being the x of the row above them,
+    into the first rows of ``out``: the number of rows, and of lines.
+
+    The lines of one width form a (lines, width + 1) uint8 matrix, a view of
+    ``text`` when they are consecutive and gathered otherwise, split by the
+    columns of their commas (``_layouts``); each layout is checked and
+    parsed column by column (``_parse_layout``).  So the Python steps grow
+    with a chunk's layouts, not with its lines or runs.
+    """
+    ends = pos + np.flatnonzero(text[pos:stop] == ord("\n"))
+    starts = np.concatenate(([pos], ends[:-1] + 1))
+    widths = ends - starts
+    firsts = np.flatnonzero(np.concatenate(([True], widths[1:] != widths[:-1])))  # each run of one width
+    sizes = np.diff(firsts, append=len(ends))
+    index = np.arange(len(ends))
+    slots = index if widths.all() else np.cumsum(widths > 0) - 1  # each line's row in ``out``
+    defects = [len(ends)]  # the first malformed line of each matrix and layout
+    for width in np.unique(widths[firsts]).tolist():
+        runs = np.flatnonzero(widths[firsts] == width)
+        if not width:
+            continue  # blank lines
+        if len(runs) == 1:  # a run has no blank lines
+            first, size = firsts[runs[0]], sizes[runs[0]]
+            lines, into = slice(first, first + size), slice(slots[first], slots[first] + size)
+            block = text[starts[first] : ends[first + size - 1] + 1].reshape(size, width + 1)
+            source = _groups(text), starts[first], width + 1, size
+        else:
+            lines = np.flatnonzero(widths == width)
+            into = slots[lines]
+            block, source = _gather(text, starts[lines], width)
+        layouts, malformed = _layouts(block)
+        defects += index[lines][malformed[:1]].tolist()
+        for rows, commas in layouts:
+            at, layout_into, layout_source = index[lines], into, source
+            if rows is not None:  # one of several layouts of this width, gathered apart
+                at = at[rows]
+                layout_into, layout_source = slots[at], _gather(text, starts[at], width)[1]
+            bad = _parse_layout(layout_source, width, commas, out, layout_into)
+            defects += [] if bad is None else [int(at[bad])]
+    defect = min(defects)
+    count = int(np.count_nonzero(widths[:defect]))
+    _check_rows(out[:count], prev, lambda i: line + int(np.flatnonzero(widths)[i]))
+    if defect < len(ends):
+        bad_line = text[starts[defect] : ends[defect]].tobytes().decode("ascii", "replace")
+        raise CensusRowError(f"expected three plain int64 fields, got {bad_line!r}", line=line + defect)
+    return count, len(ends)
+
+
+def _groups(buffer: np.ndarray) -> np.ndarray:
+    """The four bytes from each offset of ``buffer`` on, as little-endian
+    uint32s: an overlapping view, to read a line's characters four at a time."""
+    return np.ndarray((buffer.size - 3,), dtype="<u4", buffer=buffer, strides=(1,))
+
+
+def _gather(text, starts, width):
+    """The lines of ``width`` characters at ``starts``, copied into one
+    matrix with the three bytes before each (the header keeps those inside
+    ``text``): the (lines, width + 1) view of its lines, and its source
+    for ``_parse_layout``."""
+    padded = as_strided(text, (text.size - width - 3, width + 4), (1, 1))[starts - 3]
+    return padded[:, 3:], (_groups(padded), 3, width + 4, len(starts))
+
+
+def _layouts(block):
+    """Split the rows of ``block``, lines of one width, by the columns of
+    their two commas: a list of (rows, (c1, c2)), rows indexing ``block``
+    (None for all of them), and the rows with other than two commas."""
+    template = np.flatnonzero(block[0] == ord(",")).tolist()
+    if len(template) == 2 and all((block[:, c] == ord(",")).all() for c in template):
+        return [(None, tuple(template))], np.empty(0, dtype=np.intp)
+    width = block.shape[1]
+    row, column = np.divmod(np.flatnonzero(block == ord(",")), width)
+    count = np.bincount(row, minlength=len(block))
+    two = np.flatnonzero(count == 2)
+    first = (np.cumsum(count) - count)[two]  # where each of those rows' commas start in row and column
+    key = column[first] * width + column[first + 1]
+    return [(two[key == k], divmod(k, width)) for k in np.unique(key).tolist()], np.flatnonzero(count != 2)
+
+
+def _parse_layout(source, width, commas, out, at):
+    """Check and parse the lines of one layout, ``width`` characters with a
+    comma at both columns of ``commas``, into ``out[at]``; return the
+    index of the first malformed line, or None.  ``source`` is (groups,
+    offset, stride, n): line i of n has its four characters from column c
+    on at ``groups[offset + i * stride + c]``, for c from -3 on.
+
+    Each field is read right-aligned in groups of four characters, those
+    ahead of it taken as zeros: a (field, group, line) uint32 array.  Less
+    "0", every byte must be a digit, or a dash opening a field of two
+    characters or more.  The digits of each group combine in place into a
+    number below 10**4, and the groups into the field's value.  A field of
+    17 characters or more fits in int64 if its digits ahead of the last 19
+    are zeros and those read at most 2**63 - 1 (2**63 after a dash).
+    """
+    groups, offset, stride, n = source
+    c1, c2 = commas
+    fields = [(lo, hi, (hi - lo + 3) // 4) for lo, hi in ((0, c1), (c1 + 1, c2), (c2 + 1, width))]
+    if min(hi - lo for lo, hi, _ in fields) == 0:
+        return 0
+    size = max(count for _, _, count in fields)
+    quads = np.empty((3, size, n), dtype="<u4")  # little-endian, as the byte indexing below assumes
+    for f, (lo, hi, count) in enumerate(fields):
+        quads[f, : size - count] = _ZEROS
+        quads[f, size - count :] = as_strided(groups[offset + hi - 4 * count :], (count, n), (4, stride))
+    digits = quads.view(np.uint8).reshape(3, size, n, 4)
+    digits -= ord("0")  # a digit's value; any other byte is above 9
+    for f, (lo, hi, count) in enumerate(fields):  # the bytes of a first group ahead of its field: zeros
+        quads[f, size - count] &= ~np.uint32((1 << 8 * (4 * count - hi + lo)) - 1)
+    signs = np.zeros((3, n), dtype=bool)
+    bad = None
+    if digits.max() > 9:
+        for f, (lo, hi, count) in enumerate(fields):
+            opening = digits[f, size - count, :, 4 * count - hi + lo]
+            signs[f] = (opening == _DASH) & (hi - lo > 1)
+            opening[signs[f]] = 0
+        bad = (digits > 9).any(axis=(0, 1, 3))
+    quads *= 1 + (10 << 8)  # bytes 1 and 3: ten times a digit plus the next
+    quads >>= 8
+    quads &= 0x00FF00FF
+    quads *= 1 + (100 << 16)  # bits 16 and up: a hundred times a pair plus the next
+    quads >>= 16
+    if size >= 5:  # the digits ahead of the last 19 must be zeros
+        over = (quads[:, : size - 5] > 0).any(axis=(0, 1)) | (quads[:, size - 5] >= 1000).any(axis=0)
+        quads = quads[:, size - 5 :]
+    values = quads[:, 0]
+    for j in range(1, quads.shape[1]):
+        values = (values.astype(np.uint64) if j == 2 else values) * 10**4  # uint64 past eight digits
+        values += quads[:, j]
+    if size >= 5:
+        over |= (values > np.uint64(2**63 - 1) + signs).any(axis=0)
+        bad = over if bad is None else bad | over
+    if signs.any():
+        values = values.astype(np.int64)
+        np.negative(values, out=values, where=signs)
+    for f in range(3):  # faster than one transposed (lines, 3) write
+        out[at, f] = values[f]
+    return int(np.argmax(bad)) if bad is not None and bad.any() else None
 
 
 def _check_rows(rows: np.ndarray, prev, line_of) -> None:
@@ -152,9 +251,11 @@ def _check_rows(rows: np.ndarray, prev, line_of) -> None:
     row before (``prev`` for the first row, unless None), checked in that
     order; ``line_of(i)`` is the line number of row i."""
     x, square, count = rows.T
-    step = x - np.concatenate((x[:1] - 1 if prev is None else [prev], x[:-1]))
-    # Beyond MAX_SQUARE_BASE an int64 x*x would wrap around.
-    bad = (count < 0) | (x > MAX_SQUARE_BASE) | (x < -MAX_SQUARE_BASE) | (square != x * x) | (step != 1)
+    bad = square != x * x
+    bad |= count < 0
+    # |x| above MAX_SQUARE_BASE, where an int64 x*x would wrap around
+    bad |= (x + MAX_SQUARE_BASE).view(np.uint64) > 2 * MAX_SQUARE_BASE
+    bad |= np.diff(x, prepend=x[:1] - 1 if prev is None else prev) != 1
     found = np.flatnonzero(bad)
     if not found.size:
         return

@@ -191,6 +191,39 @@ def test_evaluate_out_bytes_are_pinned(tmp_path, capsys):
     assert digest == "583e7f10cd7683d29bfa9e1706a00f1236e9ad79572b262d191261afa9107bb9"
 
 
+def test_evaluate_out_scores_each_model_once(tmp_path, capsys, monkeypatch):
+    """With --out, each count model is scored once, for its summary and its
+    rows alike; the summary and the rows file read as they do from
+    separate passes."""
+    from primecensus import evaluation, storage
+    from primecensus.evaluation import score
+    from primecensus.models import COUNT_MODEL_KINDS, model_spec
+
+    census = tmp_path / "c.csv"
+    run(capsys, "census", "--max-x", "500", "--out", str(census))
+    _, summary, _ = run(capsys, "evaluate", "--census", str(census), "--models", "all", "--format", "csv")
+    expected_rows = tmp_path / "expected.csv"
+    table = storage.read_census(census)
+    storage.write_evaluation_csv(expected_rows, [(kind, score(table, model_spec(kind))) for kind in COUNT_MODEL_KINDS])
+
+    calls = {}
+    predict = evaluation.predict
+
+    def counted(xs, spec):
+        calls[spec.kind] = calls.get(spec.kind, 0) + 1
+        return predict(xs, spec)
+
+    monkeypatch.setattr(evaluation, "predict", counted)
+    rows_csv = tmp_path / "rows.csv"
+    code, out, _ = run(
+        capsys, "evaluate", "--census", str(census), "--models", "all", "--format", "csv", "--out", str(rows_csv),
+    )
+    assert code == 0
+    assert calls == dict.fromkeys(COUNT_MODEL_KINDS, 1)
+    assert out == summary
+    assert rows_csv.read_bytes() == expected_rows.read_bytes()
+
+
 def test_evaluate_prints_an_infinite_are(tmp_path, capsys):
     census = tmp_path / "c.csv"
     run(capsys, "census", "--max-x", "300", "--out", str(census))

@@ -286,16 +286,26 @@ def _read_outcome(path):
         return (type(exc), exc.line)
 
 
-def _block_edges(lines):
-    """The indices into ``lines``, a census body, of the lines with which
-    read_census starts a new block (the first one excepted)."""
+def _layout(line):
+    """A census line's layout: its length and the columns of its commas."""
+    return len(line), tuple(i for i, c in enumerate(line) if c == ",")
+
+
+def _unit_edges(lines, spread=12):
+    """Indices into ``lines``, a census body, of lines that start a new unit
+    of read_census's work, a layout's lines within a chunk: every line
+    that starts a chunk, and ``spread`` lines, spread through the body,
+    whose layout differs from the line before's."""
     data = (HEADER + "\n".join(lines) + "\n").encode("latin-1")
-    pos, edges = len(HEADER), []
+    pos, edges = len(HEADER), set()
     while True:
-        pos = data.rfind(b"\n", pos, pos + storage._BLOCK) + 1 or data.index(b"\n", pos + storage._BLOCK) + 1
+        pos = data.rfind(b"\n", pos, pos + storage._CHUNK) + 1 or data.index(b"\n", pos + storage._CHUNK) + 1
         if pos == len(data):
-            return edges
-        edges.append(data.count(b"\n", 0, pos) - 1)
+            break
+        edges.add(data.count(b"\n", 0, pos) - 1)
+    changes = [i for i in range(1, len(lines)) if _layout(lines[i]) != _layout(lines[i - 1])]
+    edges.update(changes[len(changes) // (2 * spread) :: max(len(changes) // spread, 1)])
+    return sorted(edges)
 
 
 def _resumed_reference_read(lines, clean, clean_rows):
@@ -320,11 +330,12 @@ _INT64_EDGE_FIELDS = [
 
 
 def test_read_census_at_scale_agrees_with_the_per_line_reference(tmp_path):
-    """A 50k-row census, so defects sit at block edges and large offsets."""
+    """A 50k-row census, so defects sit at chunk and layout edges and at
+    large offsets."""
     rng = random.Random(20221)
     clean = [f"{x},{x * x},{rng.randrange(10**12)}" for x in range(2, 50_002)]
-    edges = _block_edges(clean)
-    assert len(edges) >= 8
+    edges = _unit_edges(clean)
+    assert len(edges) >= 8 and len(clean[0]) * len(clean) > storage._CHUNK  # at least one chunk edge
 
     def edit(at, line, insert=False):
         lines = list(clean)
@@ -338,29 +349,29 @@ def test_read_census_at_scale_agrees_with_the_per_line_reference(tmp_path):
             (f"{defect!r} last", edit(len(clean) - 1, defect)),
             (f"{defect!r} inserted at random", edit(rng.randrange(len(clean)), defect, insert=True)),
         ]
-    # Each block edge gets a defect on either side, and every defect sits at some edge.
+    # Each unit edge gets a defect on either side, and every defect sits at some edge.
     for j, at in enumerate(edges):
         closing = _DEFECT_LINES[2 * j % len(_DEFECT_LINES)]
         opening = _DEFECT_LINES[(2 * j + 1) % len(_DEFECT_LINES)]
         cases += [
-            (f"{closing!r} closes block {j}", edit(at - 1, closing)),
-            (f"{opening!r} opens block {j + 1}", edit(at, opening, insert=True)),
+            (f"{closing!r} closes unit {j}", edit(at - 1, closing)),
+            (f"{opening!r} opens unit {j + 1}", edit(at, opening, insert=True)),
         ]
-    # Runs of blank lines at the start, across a block edge and at the end;
-    # a run longer than a block; a defect whose line number counts them.
+    # Runs of blank lines at the start, across a unit edge and at the end;
+    # a run longer than a chunk; a defect whose line number counts them.
     mid, late = edges[1], edges[-1]
     blanks = [""] * 3 + clean[:mid] + [""] * 4 + clean[mid:late] + ["6,35,1"] + clean[late:] + [""] * 5
     cases += [
         ("blank runs", blanks[: late + 7] + blanks[late + 8 :]),
         ("blank runs, then a defect", blanks),
-        ("a run of blank lines longer than a block", clean[:mid] + [""] * (storage._BLOCK + 10) + ["7,49,2"]),
+        ("a run of blank lines longer than a chunk", clean[:mid] + [""] * (storage._CHUNK + 10) + ["7,49,2"]),
     ]
     # A non-ASCII byte inside a row far into the file.
     row = clean[late + 3]
     cases.append(("non-ASCII byte", edit(late + 3, row[:2] + "\u00e9" + row[2:])))
     # Fields of 19 to 21 characters near the int64 limits, in each column,
     # and a dash before or in place of each character of a row: on the first
-    # line, which opens a block too, of a census cut after the first edge.
+    # line, which opens a chunk too, of a census cut after the first edge.
     head = clean[: edges[0] + 2]
     for field in _INT64_EDGE_FIELDS:
         cases += [
@@ -385,6 +396,72 @@ def test_read_census_at_scale_agrees_with_the_per_line_reference(tmp_path):
         for newline in ("\n", "\r\n", "\r") if label.startswith("blank runs") else ("\n",):
             path.write_bytes(text.replace("\n", newline).encode("latin-1"))
             assert _read_outcome(path) == expected, (label, newline)
+
+
+def _fixed_width_lines(xs, width):
+    """Census lines of exactly ``width`` characters: each count has as many
+    digits as its line leaves, so the commas move as x and x*x grow."""
+    rng = random.Random(width)
+    lines = []
+    for x in xs:
+        digits = width - len(f"{x},{x * x},")
+        lines.append(f"{x},{x * x},{rng.randrange(10 ** (digits - 1), 10**digits)}")
+    return lines
+
+
+def _census_layout_cases():
+    rng = random.Random(21)
+    xs = range(2, 30_002)
+    widths = [f"{x},{x * x},{rng.randrange(10**12) // 10 ** rng.randrange(12)}" for x in xs]
+    blanks = [line for x, row in zip(xs, widths) for line in ([row] + [""] * (x % 7 == 0) * (x % 5))]
+    padded = [
+        f"{x:0{(x % 4) * 3}d},{x * x:0{(x % 5) * 5}d},{c:0{(x % 3) * 7}d}"
+        for x, c in zip(xs, (rng.randrange(10**9) for _ in xs))
+    ]
+    return {
+        "equal lengths, other commas": ["99,9801,1000", "100,10000,10", "101,10201,7"],
+        "equal lengths across many comma layouts": _fixed_width_lines(range(2, 40_002), 20),
+        "count width changes every row": widths,
+        "leading zeros": padded,
+        "negative x on the first row": [f"{x},{x * x},{abs(x) * 3}" for x in range(-5_000, 25_000)],
+        "fields of 19 to 21 characters": [
+            f"{x},{x * x:0{19 + x % 3}d},{(2**63 - 1 - x) if x % 2 else x:0{19 + x % 3}d}" for x in xs
+        ],
+        "runs of blank lines": blanks,
+    }
+
+
+@pytest.mark.parametrize("label", sorted(_census_layout_cases()))
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_read_census_layouts_agree_with_the_per_line_reference(tmp_path, label, newline):
+    """Layouts read_census must group: lines of one length with commas in
+    other columns, scattered widths, zero-padded and signed fields and
+    blank lines; each census read clean, then with a defect near its end."""
+    lines = _census_layout_cases()[label]
+    path = tmp_path / "rows.csv"
+    at = max(i for i, line in enumerate(lines) if line and i < len(lines) * 3 // 4)
+    for body in (lines, lines[:at] + [lines[at].replace(",", ",1", 1)] + lines[at + 1 :]):
+        text = HEADER + "\n".join(body) + "\n"
+        path.write_bytes(text.replace("\n", newline).encode("ascii"))
+        expected = _reference_read(text)
+        assert _read_outcome(path) == expected
+        assert isinstance(expected, list) == (body is lines), "the clean census must read, the other not"
+
+
+def test_read_census_steps_grow_with_layouts_not_rows(tmp_path, monkeypatch):
+    """Each layout of a chunk is one step, though the count's width
+    alternates every row: 100,000 rows take some dozens of steps."""
+    lines = [f"{x},{x * x},{7 if x % 2 else 10**9 + x}" for x in range(2, 100_002)]
+    text = HEADER + "\n".join(lines) + "\n"
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    steps = []
+    parse_layout = storage._parse_layout
+    monkeypatch.setattr(storage, "_parse_layout", lambda *args: steps.append(args) or parse_layout(*args))
+    assert read_census(path).tolist() == _reference_read(text)
+    chunks = len(text) // storage._CHUNK + 1
+    layouts = len({_layout(line) for line in lines})
+    assert len(steps) <= layouts * chunks < len(lines) // 100
 
 
 # ---------------------------------------------------------------------------
