@@ -1,10 +1,13 @@
 """Checkpointed, parallel segmented-sieve census of primes in [x, x**2].
 
 One cumulative pass over 2..n_max**2 records pi at every square boundary;
-subtracting pi(x-1) from a base sieve turns that into the per-x range
-count.  Segments may be sieved concurrently, but results are always
-reduced in ascending order, so the emitted stream does not depend on the
-worker count or the segment length.
+subtracting pi(x-1) turns that into the per-x range count.  pi(x-1) is a
+running count of the base sieve's flags: each segment's rows take one
+cumsum over their own x range, on top of the total carried from the rows
+before, so no pi table of the whole base is ever held.  Segments may be
+sieved concurrently, but results are always reduced in ascending order,
+so the emitted stream does not depend on the worker count or the segment
+length.
 
 The segment kernel is a pure function of (lo, rows, basis).  It sieves
 on a mod-30 wheel: lo is a multiple of 30, and a segment holds only the
@@ -57,7 +60,10 @@ values below the cursor and above the limit.  T follows the segment
 length and the pattern offset follows lo, so no state carries across
 segments and the output stays independent of how the range is cut.  A
 pool sweep keeps an in-order window of at most 4 * workers submitted
-segments and submits one more as each result is drawn.
+segments and submits one more as each result is drawn.  The parent builds
+the basis once and hands it to every worker: under fork the workers share
+its pages, under spawn it is pickled.  A worker ends itself once its
+parent is gone, so a killed census leaves no worker behind.
 
 ``write_census_file`` is the one writer of census files.  Its crash rule:
 a census under its final name is complete, or a checkpoint on disk covers
@@ -70,6 +76,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import threading
+import time
 from dataclasses import asdict, dataclass, fields
 from itertools import islice
 from math import isqrt, prod
@@ -88,8 +96,10 @@ from .pi_oracle import MAX_SQUARE_BASE
 
 DEFAULT_SEGMENT_LEN = 1 << 25  # numbers per segment, rounded down to a multiple of 30
 CHECKPOINT_EVERY = 1000  # x values between the checkpoints of a census file
-# Largest base sieve (flags plus int64 prefix, 9 bytes per integer) to
-# attempt: n_max up to about 2.98e7, where the paper needs 449,999.
+# Budget of the base sieve, counted at 9 bytes per integer: n_max up to
+# about 2.98e7, where the paper needs 449,999.  The sweep holds 1 byte per
+# integer and 24 per prime from 19 up (the basis); the 9 bytes are those of
+# the int64 pi prefix it once held, kept so the largest n_max does not move.
 BASE_SIEVE_MAX_BYTES = 1 << 28
 # The wheel: a segment stores only the values coprime to 30, one class of
 # rows per residue, so no multiple of 2, 3 or 5 takes a slot.
@@ -156,13 +166,12 @@ def encode_census_row(record) -> bytes:
 def sieve_flags(n: int) -> np.ndarray:
     """Primality flags for 0..n (plain Eratosthenes, used as the base sieve).
 
-    Raises RangeTooLargeError, before allocating anything, when the flags
-    plus the int64 prefix count built from them would exceed
-    BASE_SIEVE_MAX_BYTES.
+    Raises RangeTooLargeError, before allocating anything, when 9 bytes
+    per integer of 0..n would exceed BASE_SIEVE_MAX_BYTES.
     """
     if 9 * (n + 1) > BASE_SIEVE_MAX_BYTES:
         raise RangeTooLargeError(
-            f"a base sieve to {n} needs {9 * (n + 1)} bytes, over the {BASE_SIEVE_MAX_BYTES}-byte budget"
+            f"a base sieve to {n} is over the {BASE_SIEVE_MAX_BYTES}-byte budget at 9 bytes per integer"
         )
     flags = np.ones(n + 1, dtype=bool)
     flags[:2] = False
@@ -280,9 +289,18 @@ def _segment_counts(lo, rows, ends, basis) -> np.ndarray:
 _WORKER_BASIS = None
 
 
-def _init_segment_worker(n_max):
+def _init_segment_worker(basis):
+    """Keep the parent's basis, and end this worker once the parent is gone."""
     global _WORKER_BASIS
-    _WORKER_BASIS = _wheel_basis(sieve_flags(n_max))
+    _WORKER_BASIS = basis
+    parent = os.getppid()
+
+    def watch_parent():
+        while os.getppid() == parent:  # an orphan is re-parented, so its ppid changes
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch_parent, daemon=True).start()
 
 
 def _segment_job(task):
@@ -376,36 +394,39 @@ def _sweep_pairs(n_max, workers, start_x, cum_pi_start) -> Iterator[tuple[Census
 
 
 def _sweep(n_max, flags, workers, start_x, cum_pi_start):
-    pi_below = np.cumsum(flags, dtype=np.int64)  # pi_below[v] = pi(v)
     cursor = (start_x - 1) ** 2 + 1
     # Primes of the wheel rows below the cursor: all of pi(cursor - 1) but 2, 3 and 5.
     wheel = (0 if start_x == 2 else int(cum_pi_start)) - _pi_below_7(cursor - 1)
+    pi_before = int(np.count_nonzero(flags[: start_x - 1]))  # pi(next_x - 2), carried row to row
     tasks = _segment_tasks(cursor, n_max * n_max, start_x, n_max)
     next_x = start_x
+    basis = _wheel_basis(flags)
 
     pool = None
     try:
         if workers == 1:
-            basis = _wheel_basis(flags)
             results = (_segment_counts(*task, basis) for task in tasks)
         else:
             # Imported here: it loads multiprocessing, logging and queue, which
-            # a one-worker run never needs.  Each worker builds its own basis.
+            # a one-worker run never needs.
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_segment_worker,
-                initargs=(n_max,),
+                initargs=(basis,),
             )
             results = _in_order(pool, tasks, 4 * workers)
         for counts in results:
             counts = counts[1:] - counts[0]  # from the cursor up to each square, then to the limit
             xs = np.arange(next_x, next_x + len(counts) - 1)
-            next_x += len(xs)
             pis = wheel + counts[:-1] + 3 - (xs == 2)  # 2, 3 and 5 lie below every square but 4
-            for x, pi_x2, pi_before in zip(xs.tolist(), pis.tolist(), pi_below[xs - 1].tolist()):
-                yield CensusRecord(x, x * x, pi_x2 - pi_before), pi_x2
+            before = pi_before + np.cumsum(flags[next_x - 1 : next_x - 1 + len(xs)], dtype=np.int64)  # pi(x - 1)
+            for x, pi_x2, pi_x1 in zip(xs.tolist(), pis.tolist(), before.tolist()):
+                yield CensusRecord(x, x * x, pi_x2 - pi_x1), pi_x2
+            next_x += len(xs)
+            if len(xs):
+                pi_before = int(before[-1])
             wheel += int(counts[-1])
     finally:
         if pool is not None:

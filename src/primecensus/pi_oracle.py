@@ -1,9 +1,17 @@
 """Exact combinatorial prime counting, independent of the sieve engine.
 
 ``prime_pi`` evaluates pi(n) in O(n^(3/4)) time and O(sqrt(n)) memory by
-running a Legendre-style elimination over the distinct values of n // k,
-held as two int64 arrays (``_legendre_sweep``).  It exists to
-cross-check the census engine: the two never share sieve code.
+running a Legendre-style elimination over the distinct values of n // k
+(``_legendre_sweep``).  It exists to cross-check the census engine: the
+two never share sieve code.
+
+The table takes 20 bytes per key k <= sqrt(n): the int64 key n // k, the
+int64 large half (the counts at those keys) and the small half (the
+counts at keys v <= sqrt(n)).  The small half's counts are at most
+sqrt(n), so it is int32 for every n below 2**62 and int64 above; reads
+from it are gathered into a work buffer of its own dtype and subtracted
+from, or summed into, the int64 large half.  At n = 1e14 the three
+tables take 200 MB.
 
 The sweep takes the primes p <= sqrt(n) in three phases; each prime
 updates every key v >= p*p from the table as the smaller primes left it.
@@ -25,12 +33,13 @@ updates every key v >= p*p from the table as the smaller primes left it.
    summed over all its primes at once, and the pi(p - 1) terms sum as an
    arithmetic series.
 
-Every phase works through two int64 buffers of ``_CHUNK`` entries, made
-once per sweep and refilled a chunk at a time, and allocates no
-sqrt(n)-long temporary per prime.  Temporaries that large are mapped
-afresh by malloc and unmapped when freed, so one per prime costs about
-98,000 minor page faults per call at n = 440,121**2, more time than the
-arithmetic; with the buffers a call takes about 3,000.
+Every phase works through three buffers of ``_CHUNK`` entries (two int64
+and one of the small half's dtype), made once per sweep and refilled a
+chunk at a time, and allocates no sqrt(n)-long temporary per prime.
+Temporaries that large are mapped afresh by malloc and unmapped when
+freed, so one per prime costs about 98,000 minor page faults per call at
+n = 440,121**2, more time than the arithmetic; with the buffers a call
+takes about 3,000.
 """
 
 from __future__ import annotations
@@ -44,9 +53,15 @@ from .errors import RangeTooLargeError
 MAX_64BIT = 2**63 - 1
 # Largest x whose square fits in a signed 64-bit integer (3,037,000,499).
 MAX_SQUARE_BASE = isqrt(MAX_64BIT)
-# Entries in each of the sweep's two int64 work buffers: 512 KiB apiece,
-# so both fit in a 2 MiB L2 cache.
+# Entries in each of the sweep's three work buffers: at most 512 KiB
+# apiece, so all fit in a 2 MiB L2 cache.
 _CHUNK = 2**16
+
+
+def _small_dtype(r: int):
+    """The small half's dtype: its entries lie in -1..r, so int32 holds them
+    while r < 2**31, which covers every n below 2**62."""
+    return np.int32 if r < 2**31 else np.int64
 
 
 def _check_width(n: int) -> None:
@@ -68,7 +83,7 @@ def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
     phases of the module docstring.
 
     Beside the three tables (keys, small, large), the sweep holds only
-    two int64 work buffers of min(isqrt(n), _CHUNK) entries.  Each update
+    three work buffers of min(isqrt(n), _CHUNK) entries.  Each update
     runs a chunk at a time through them (``out=`` arguments), in an order
     that reads every entry before it is overwritten, so the results equal
     those of whole-array updates bit for bit.
@@ -77,10 +92,11 @@ def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
     keys = np.arange(1, r + 1, dtype=np.int64)
     np.floor_divide(n, keys, out=keys)
     large = keys - 1
-    small = np.arange(-1, r, dtype=np.int64)
+    small = np.arange(-1, r, dtype=_small_dtype(r))
     chunk = min(r, _CHUNK)
     idx = np.empty(chunk, dtype=np.int64)
     buf = np.empty(chunk, dtype=np.int64)
+    gathered = np.empty(chunk, dtype=small.dtype)  # reads of the small half
 
     def sieve_large(p: int, sp: int) -> None:
         # Keys n // k >= p*p, i.e. k <= n // p**2.  For k <= r // p the key
@@ -96,7 +112,7 @@ def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
             large[lo:hi] -= out
         for lo in range(a, kmax, chunk):
             hi = min(lo + chunk, kmax)
-            i, out = idx[: hi - lo], buf[: hi - lo]
+            i, out = idx[: hi - lo], gathered[: hi - lo]
             np.floor_divide(keys[lo:hi], p, out=i)
             # Every index n // (k*p) lies in [p, r], so "clip" clips nothing;
             # with out=, "raise" would make numpy buffer the output.
@@ -104,13 +120,14 @@ def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
             out -= sp
             large[lo:hi] -= out
 
-    def subtract_pair_sums(jlo, jhi, table, to_index) -> None:
+    def subtract_pair_sums(jlo, jhi, table, to_index, gather) -> None:
         # large[k-1] -= sum of table[to_index(k*p)] over p in ps[jlo:jhi],
         # with jlo and jhi indexed by k - 1.  Both fall as k rises, so rows
         # a..b-1 lie inside the block of columns jlo[b-1] .. jhi[a] - 1; each
-        # block of at most chunk cells is one product, one gather and one
-        # reduceat over the cells of its rows.  The other cells read some
-        # entry in range ("clip") and are left out of the sums.
+        # block of at most chunk cells is one product, one gather into
+        # ``gather`` (a work buffer of table's dtype) and one int64 reduceat
+        # over the cells of its rows.  The other cells read some entry in
+        # range ("clip") and are left out of the sums.
         rows = (jhi > jlo).nonzero()[0]  # k - 1 for each key with a term
         bounds = np.array((jlo, jhi)).T[rows]
         blocks, a = [], 0
@@ -129,17 +146,17 @@ def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
             g, w = b - a, j1 - j0
             block = buf[: g * w].reshape(g, w)
             np.multiply(rows[a:b, None] + 1, ps[j0:j1], out=block)
-            vals = idx[: g * w]
+            vals = gather[: g * w]
             table.take(to_index(block), out=vals.reshape(g, w), mode="clip")
             if g == 1:  # the whole block, or a piece of one wide row
-                large[rows[a]] -= vals.sum()
+                large[rows[a]] -= vals.sum(dtype=np.int64)
                 continue
             # Row i's cells are vals[edges[2i] : edges[2i+1]].  The last
             # row may end at the last cell, which reduceat cannot index.
             edges = (bounds[a:b] + np.arange(-j0, g * w - j0, w)[:, None]).reshape(-1)
             if edges[-1] == g * w:
                 edges = edges[:-1]
-            large[rows[a:b]] -= np.add.reduceat(vals, edges)[::2]
+            large[rows[a:b]] -= np.add.reduceat(vals, edges, dtype=np.int64)[::2]
 
     # Phase 1, p <= n**(1/4): the only primes that also change the small half.
     for p in range(2, isqrt(r) + 1):
@@ -156,7 +173,7 @@ def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
         rows = small[p * p : p * p + q * p].reshape(q, p)
         for hi in range(q, 0, -chunk):
             lo = max(hi - chunk, 0)
-            src = np.subtract(small[p + lo : p + hi], sp, out=buf[: hi - lo])
+            src = np.subtract(small[p + lo : p + hi], sp, out=gathered[: hi - lo])
             rows[lo:hi] -= src[:, None]
 
     # The small half is now exact, so it lists the primes <= r, and the
@@ -179,8 +196,8 @@ def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
         c = np.searchsorted(ps * ps, keys[:kmax], side="right")
         m = np.minimum(c, np.searchsorted(ps, r // np.arange(1, kmax + 1), side="right"))
         large[:kmax] += c * (c + (2 * tail - 1)) // 2  # the pi(p - 1) terms
-        subtract_pair_sums(np.zeros_like(m), m, large, lambda kp: np.subtract(kp, 1, out=kp))
-        subtract_pair_sums(m, c, small, lambda kp: np.floor_divide(n, kp, out=kp))
+        subtract_pair_sums(np.zeros_like(m), m, large, lambda kp: np.subtract(kp, 1, out=kp), idx)
+        subtract_pair_sums(m, c, small, lambda kp: np.floor_divide(n, kp, out=kp), gathered)
     return small, large
 
 
@@ -205,7 +222,7 @@ def pi_prefix(limit: int) -> np.ndarray:
         return np.zeros(max(limit + 1, 0), dtype=np.int64)
     _check_width(limit * limit)
     small, _ = _legendre_sweep(limit * limit)
-    out = small[: limit + 1].copy()
+    out = small[: limit + 1].astype(np.int64)
     out[0] = 0
     return out
 

@@ -214,7 +214,7 @@ FULL_SCALE_ARE = {
 
 @pytest.mark.skipif(
     not FULL_SCALE,
-    reason="full-scale gate: set PRIMECENSUS_FULL_SCALE=1 and budget about 275 s with PRIMECENSUS_WORKERS=2 "
+    reason="full-scale gate: set PRIMECENSUS_FULL_SCALE=1 and budget about 130 s with PRIMECENSUS_WORKERS=2 "
     "on a 2-core Xeon, about twice that with the default one worker "
     "(sieve to about 2.02e11; PRIMECENSUS_FULL_CENSUS can point at a finished CSV)",
 )

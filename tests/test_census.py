@@ -1,8 +1,15 @@
+import contextlib
 import hashlib
 import multiprocessing
 import os
 import random
+import signal
+import subprocess
+import sys
+import time
+import tracemalloc
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +353,61 @@ def test_pool_draws_a_bounded_window_of_tasks(monkeypatch):
     assert 0 < drawn[0] <= 4 * workers + 1
     stream.close()
     assert multiprocessing.active_children() == []
+
+
+def test_sweep_at_1e7_holds_no_pi_table_of_the_base():
+    """A sweep at n_max = 1e7 peaks below 8e7 bytes, what an int64 pi of
+    every base integer would take alone: pi(x - 1) is a running count."""
+    tracemalloc.start()
+    try:
+        rows = list(census_sweep(10**7, start_x=10**7 - 1, cum_pi_start=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.x for r in rows] == [10**7 - 1, 10**7]
+    assert peak < 8 * 10**7, peak
+
+
+def _running(pid):
+    """Whether ``pid`` is alive and not a zombie (exited, not yet reaped)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(), reason="reads child pids from /proc"
+)
+def test_pool_workers_exit_when_the_census_is_killed(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(census.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "primecensus.cli", "census", "--max-x", "40000", "--workers", "2"]
+    parent = subprocess.Popen(
+        [*argv, "--out", str(tmp_path / "rows.csv")], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+    )
+    children = []
+    try:
+        listing = Path(f"/proc/{parent.pid}/task/{parent.pid}/children")
+        deadline = time.monotonic() + 60
+        while len(children) < 2:
+            assert parent.poll() is None, "the census ended before two workers were seen"
+            assert time.monotonic() < deadline, "no two workers within 60 s"
+            with contextlib.suppress(OSError):
+                children = [int(pid) for pid in listing.read_text().split()]
+            time.sleep(0.005)
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 3
+        while any(map(_running, children)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, children)), "a pool worker outlived its parent by 3 s"
+    finally:
+        for pid in filter(_running, children):
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        parent.kill()
+        parent.wait()
 
 
 def test_sweep_independent_of_workers():

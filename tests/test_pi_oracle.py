@@ -1,19 +1,37 @@
+import os
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from primecensus import RangeTooLargeError, count_in_range_oracle, pi_prefix, prime_pi
 from primecensus import pi_oracle
-from primecensus.pi_oracle import _CHUNK, _legendre_sweep
+from primecensus.pi_oracle import _CHUNK, _legendre_sweep, _small_dtype
 
 from pi_reference import legendre_sweep_reference, naive_pi_table
 
 
+# pi(0..20,000) by trial sieve: the reference tables of every n up to it.
+_NAIVE_LIMIT = 20_000
+_NAIVE_PI = naive_pi_table(_NAIVE_LIMIT)
+
+
+def _reference_tables(n):
+    """(small, large) as the sweep must leave them: from the trial sieve's
+    pi table for n <= _NAIVE_LIMIT, from the one-loop sweep above it."""
+    if n > _NAIVE_LIMIT:
+        return legendre_sweep_reference(n)
+    keys = np.arange(1, isqrt(n) + 1)
+    return np.concatenate(([-1], _NAIVE_PI[keys])), _NAIVE_PI[n // keys]
+
+
 def _assert_tables_match_reference(n):
     small, large = _legendre_sweep(n)
-    ref_small, ref_large = legendre_sweep_reference(n)
-    assert small.dtype == large.dtype == np.int64
+    ref_small, ref_large = _reference_tables(n)
+    assert small.dtype == np.int32 and large.dtype == np.int64
     assert np.array_equal(small, ref_small), f"small half differs at n={n}"
     assert np.array_equal(large, ref_large), f"large half differs at n={n}"
 
@@ -139,3 +157,41 @@ def test_sweep_matches_reference_where_r_meets_the_chunk(r):
 )
 def test_published_prime_counts(n, expected):
     assert prime_pi(n) == expected
+
+
+def test_small_half_is_int32_below_2_to_the_62():
+    for n in (2, 10**6, 2**31, 10**12):
+        small, large = _legendre_sweep(n)
+        assert small.dtype == np.int32 and large.dtype == np.int64, n
+    assert _small_dtype(isqrt(2**62 - 1)) == np.int32
+    assert _small_dtype(isqrt(2**62)) == np.int64
+    assert _small_dtype(isqrt(2**63 - 1)) == np.int64
+    assert pi_prefix(1000).dtype == np.int64
+    assert pi_prefix(0).dtype == np.int64
+
+
+@pytest.mark.parametrize("n", [3000, 10**6 + 3, 99_991**2])
+def test_sweep_with_an_int64_small_half_matches_reference(monkeypatch, n):
+    # The int64 small half that n >= 2**62 takes, run where it is cheap.
+    monkeypatch.setattr(pi_oracle, "_small_dtype", lambda r: np.int64)
+    small, large = _legendre_sweep(n)
+    ref_small, ref_large = _reference_tables(n)
+    assert small.dtype == large.dtype == np.int64
+    assert np.array_equal(small, ref_small) and np.array_equal(large, ref_large)
+
+
+@pytest.mark.skipif(
+    os.environ.get("PRIMECENSUS_FULL_SCALE") != "1",
+    reason="opt-in with PRIMECENSUS_FULL_SCALE=1: about 30 s and 250 MB on a 2-core Xeon",
+)
+def test_prime_pi_1e14_within_256_mib():
+    # A fresh process, so ru_maxrss is this call's peak and nothing else's.
+    code = (
+        "import resource; from primecensus import prime_pi; "
+        "print(prime_pi(10**14), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pi_oracle.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    count, maxrss_kib = map(int, done.stdout.split())
+    assert count == 3_204_941_750_802
+    assert maxrss_kib < 256 * 1024, f"ru_maxrss {maxrss_kib} KiB"
