@@ -289,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop-after", type=int, default=None, help="stop cleanly after completing this x")
     p.set_defaults(handler=_cmd_census)
 
-    p = sub.add_parser("pi", help="print the number of primes <= N")
-    p.add_argument("n", type=int)
+    p = sub.add_parser("pi", help="print the number of primes <= N, for N < 2**62")
+    p.add_argument("n", type=int, metavar="N", help="count the primes <= N; N < 2**62")
     p.set_defaults(handler=_cmd_pi)
 
     p = sub.add_parser("evaluate", help="average relative error and match tallies per model",

@@ -3,27 +3,26 @@
 ``prime_pi`` evaluates pi(n) in O(n^(3/4)) time and O(sqrt(n)) memory by
 running a Legendre-style elimination over the distinct values of n // k
 (``_legendre_sweep``).  It exists to cross-check the census engine: the
-two never share sieve code.
+two never share sieve code.  Its domain is n < 2**62: above that the run
+would need tens of GB and about 1e14 updates, so it is refused up front.
 
 The table takes 20 bytes per key k <= sqrt(n): the int64 key n // k, the
-int64 large half (the counts at those keys) and the small half (the
-counts at keys v <= sqrt(n)).  The small half's counts are at most
-sqrt(n), so it is int32 for every n below 2**62 and int64 above; reads
-from it are gathered into a work buffer of its own dtype and subtracted
-from, or summed into, the int64 large half.  At n = 1e14 the three
-tables take 200 MB.
+int64 large half (the counts at those keys) and the int32 small half (the
+counts at keys v <= sqrt(n), each at most sqrt(n) < 2**31).  Reads from
+the small half are gathered into an int32 work buffer and subtracted
+from, or summed into, the int64 large half.  At n = 1e14 the three tables
+take 200 MB.
 
-The sweep takes the primes p <= sqrt(n) in three phases; each prime
-updates every key v >= p*p from the table as the smaller primes left it.
+The sweep takes the primes p <= sqrt(n) in two phases; each prime updates
+every key v >= p*p from the table as the smaller primes left it.
 
-1. p <= n^(1/4), about 120 primes at 2e11: these are the primes that also
-   change the small half (keys <= sqrt(n)).  Each is found on the table
-   itself and updated with one strided read of the large half and one
-   gather from the small half.
-2. n^(1/4) < p <= n^(1/3), about 640 primes: the small half is now exact,
-   so it lists every prime <= sqrt(n) and gives pi(p - 1) as the prime's
-   index.  Each prime updates the large half as in phase 1.
-3. p > n^(1/3), about 36,000 primes: let p0 be the smallest of them, so
+1. p <= n^(1/3), about 760 primes at 2e11.  Each is found on the small
+   half: it is exact below p*p, since no prime from p on changes a key
+   there.  Each updates the large half with one strided read of itself
+   and one gather from the small half.  The first of them, p <= n^(1/4)
+   (about 120 at 2e11), also update the small half's keys v >= p*p; once
+   they are done the small half is exact.
+2. p > n^(1/3), about 36,000 primes: let p0 be the smallest of them, so
    p0**3 > n.  Each writes only entries large[k-1] with
    k <= n // p**2 <= n // p0**2 < p0, and reads only the exact small half
    and large entries at index k*p - 1 >= p0 - 1.  No prime of this phase
@@ -33,13 +32,12 @@ updates every key v >= p*p from the table as the smaller primes left it.
    summed over all its primes at once, and the pi(p - 1) terms sum as an
    arithmetic series.
 
-Every phase works through three buffers of ``_CHUNK`` entries (two int64
-and one of the small half's dtype), made once per sweep and refilled a
-chunk at a time, and allocates no sqrt(n)-long temporary per prime.
-Temporaries that large are mapped afresh by malloc and unmapped when
-freed, so one per prime costs about 98,000 minor page faults per call at
-n = 440,121**2, more time than the arithmetic; with the buffers a call
-takes about 3,000.
+Both phases work through three buffers of ``_CHUNK`` entries (two int64
+and one int32), made once per sweep and refilled a chunk at a time, and
+allocate no sqrt(n)-long temporary per prime.  Temporaries that large are
+mapped afresh by malloc and unmapped when freed, so one per prime costs
+about 98,000 minor page faults per call at n = 440,121**2, more time than
+the arithmetic; with the buffers a call takes about 3,000.
 """
 
 from __future__ import annotations
@@ -50,23 +48,17 @@ import numpy as np
 
 from .errors import RangeTooLargeError
 
-MAX_64BIT = 2**63 - 1
 # Largest x whose square fits in a signed 64-bit integer (3,037,000,499).
-MAX_SQUARE_BASE = isqrt(MAX_64BIT)
+MAX_SQUARE_BASE = isqrt(2**63 - 1)
 # Entries in each of the sweep's three work buffers: at most 512 KiB
 # apiece, so all fit in a 2 MiB L2 cache.
 _CHUNK = 2**16
 
 
-def _small_dtype(r: int):
-    """The small half's dtype: its entries lie in -1..r, so int32 holds them
-    while r < 2**31, which covers every n below 2**62."""
-    return np.int32 if r < 2**31 else np.int64
-
-
 def _check_width(n: int) -> None:
-    if n > MAX_64BIT:
-        raise RangeTooLargeError(f"n={n} exceeds the 64-bit guard")
+    # n < 2**62 keeps isqrt(n) < 2**31, so the small half fits in int32.
+    if n >= 2**62:
+        raise RangeTooLargeError(f"n={n}: the oracle counts only n < 2**62")
 
 
 def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -79,7 +71,7 @@ def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Starts every key v at v - 1 (all integers in 2..v) and, for each prime
     p <= sqrt(n) in turn, removes the numbers whose least prime factor is p:
-    S(v) -= S(v // p) - pi(p - 1), for every key v >= p*p, in the three
+    S(v) -= S(v // p) - pi(p - 1), for every key v >= p*p, in the two
     phases of the module docstring.
 
     Beside the three tables (keys, small, large), the sweep holds only
@@ -92,11 +84,11 @@ def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
     keys = np.arange(1, r + 1, dtype=np.int64)
     np.floor_divide(n, keys, out=keys)
     large = keys - 1
-    small = np.arange(-1, r, dtype=_small_dtype(r))
+    small = np.arange(-1, r, dtype=np.int32)
     chunk = min(r, _CHUNK)
     idx = np.empty(chunk, dtype=np.int64)
     buf = np.empty(chunk, dtype=np.int64)
-    gathered = np.empty(chunk, dtype=small.dtype)  # reads of the small half
+    gathered = np.empty(chunk, dtype=np.int32)  # reads of the small half
 
     def sieve_large(p: int, sp: int) -> None:
         # Keys n // k >= p*p, i.e. k <= n // p**2.  For k <= r // p the key
@@ -158,12 +150,16 @@ def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
                 edges = edges[:-1]
             large[rows[a:b]] -= np.add.reduceat(vals, edges, dtype=np.int64)[::2]
 
-    # Phase 1, p <= n**(1/4): the only primes that also change the small half.
-    for p in range(2, isqrt(r) + 1):
-        if small[p] == small[p - 1]:
+    # Phase 1, p <= cbrt: the float cube root, rounded, is at most one over.
+    cbrt = round(n ** (1 / 3))
+    cbrt -= cbrt**3 > n
+    for p in range(2, cbrt + 1):
+        sp = small.item(p - 1)
+        if small.item(p) == sp:
             continue  # p composite: no change at key p
-        sp = int(small[p - 1])
         sieve_large(p, sp)
+        if p * p > r:
+            continue  # p > n**(1/4): no small key v >= p*p
         # small[v] -= small[v // p] - sp for v = p*p .. r: row j of the
         # (q, p) view holds the v with v // p = p + j, and the partial row
         # after it the v with v // p = p + q.  Going down a chunk of rows at
@@ -179,14 +175,9 @@ def _legendre_sweep(n: int) -> tuple[np.ndarray, np.ndarray]:
     # The small half is now exact, so it lists the primes <= r, and the
     # i-th of them (from 0) has pi(p - 1) = i.
     primes = np.flatnonzero(small[2:] != small[1:-1]) + 2
-    first = int(np.searchsorted(primes, isqrt(r), side="right"))
-    tail = int(np.count_nonzero(primes * primes <= n // primes))  # p**3 <= n
+    tail = small.item(cbrt)  # the primes p <= cbrt
 
-    # Phase 2, n**(1/4) < p <= n**(1/3): large half only, prime by prime.
-    for i in range(first, tail):
-        sieve_large(int(primes[i]), i)
-
-    # Phase 3, p > n**(1/3): the updates commute (module docstring), so
+    # Phase 2, p > n**(1/3): the updates commute (module docstring), so
     # each key k takes one sum over its primes, those with p*p <= n // k:
     # c of them, the first m with k*p <= r, which read large[k*p - 1]; the
     # rest read small[n // (k*p)], in [p, r].
@@ -234,8 +225,7 @@ def count_in_range_oracle(x: int) -> int:
     """
     if x < 1:
         raise ValueError("x must be positive")
-    if x > MAX_SQUARE_BASE:
-        raise RangeTooLargeError(f"x={x}: x**2 exceeds the 64-bit guard")
+    _check_width(x * x)
     if x == 1:
         return 0
     small, large = _legendre_sweep(x * x)

@@ -18,7 +18,7 @@ def naive_pi_table(n: int) -> np.ndarray:
 
 
 def legendre_sweep_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The one-loop Legendre sweep the package used before its three phases.
+    """The one-loop Legendre sweep the package used before it was split into phases.
 
     Same (small, large) contract as ``primecensus.pi_oracle._legendre_sweep``:
     ``small[v]`` = pi(v) for 1 <= v <= isqrt(n), ``large[k-1]`` = pi(n // k).

@@ -30,11 +30,13 @@ from primecensus import (
     render,
     run_census,
 )
+from primecensus.census import CENSUS_HEADER, encode_census_row
 from primecensus.cli import format_percent, main
-from primecensus.evaluation import score
+from primecensus.evaluation import ratio_arrays, score
 from primecensus.models import COUNT_MODEL_KINDS
 from primecensus.plotting import PlotConfig
 
+from census_codec import decode_counts, encode_counts
 from pi_reference import naive_pi_table
 
 SMALL_TABLE_ROWS = [
@@ -272,3 +274,60 @@ def test_full_scale_golden_is_consistent():
         assert x_squared == x * x and x <= count < x_squared
     for x, _, count in golden["samples"][:2]:
         assert count_in_range_oracle(x) == count, x
+
+
+# The full census, as ``census_codec`` packs it (made from
+# ``census --max-x 449999 --workers 2``), and criterion 8's numbers on it
+# to about nine digits, with each model's (exact, floor, ceil, none) tally.
+FULL_CENSUS_FILE = Path(__file__).parent / "data" / "census_449999.i16.bz2"
+FULL_SCALE_PINNED = {
+    "hyperbolic": (0.006358248043161557, (0, 0, 1, 449_997)),
+    "power_series": (0.006341355852489809, (0, 1, 0, 449_997)),
+    "polynomial": (0.22310199619600682, (3, 0, 0, 449_995)),
+    "conic": (0.038742974987714965, (3, 0, 0, 449_995)),
+    "custom_ratio": (5.0268960808038335e-05, (0, 31, 27, 449_940)),
+    "bertrand": (0.9999864730942358, (0, 0, 0, 449_998)),
+    "difference_line": (0.12011597776468183, (0, 512, 509, 448_976)),
+}
+FULL_SCALE_RATIO_FIT = (2.0038012452467147, -1.0935563227046288)
+
+
+def test_full_scale_analysis_on_the_committed_census(tmp_path):
+    """Criterion 8's checks, tightened, on the committed census: no sieving."""
+    first_x, counts = decode_counts(FULL_CENSUS_FILE.read_bytes())
+    xs = np.arange(first_x, first_x + counts.size)
+    rows_text = map(encode_census_row, zip(xs.tolist(), (xs * xs).tolist(), counts.tolist()))
+    census_bytes = (CENSUS_HEADER + "\n").encode("ascii") + b"".join(rows_text)
+    assert counts.size == FULL_SCALE_GOLDEN["rows"] and xs[-1] == FULL_SCALE_GOLDEN["n_max"]
+    assert len(census_bytes) == FULL_SCALE_GOLDEN["bytes"]
+    assert hashlib.sha256(census_bytes).hexdigest() == FULL_SCALE_GOLDEN["sha256"]
+    census_path = tmp_path / "census_449999.csv"
+    census_path.write_bytes(census_bytes)
+    rows = read_census(census_path)
+    for sample in FULL_SCALE_GOLDEN["samples"]:
+        assert list(rows[sample[0] - 2].tolist()) == sample
+    assert rows[312_402 - 2].prime_count == 4_023_029_104
+
+    for kind, (are, tally) in FULL_SCALE_PINNED.items():
+        if kind == "difference_line":
+            summary = evaluate_difference_model(rows)
+        else:
+            summary = evaluate_model(rows, model_spec(kind))
+            assert summary.average_relative_error == pytest.approx(FULL_SCALE_ARE[kind], abs=0.0005), kind
+        assert summary.average_relative_error == pytest.approx(are, rel=1e-9), kind
+        assert tuple(summary.tally().values()) == tally, kind
+    fit = fit_log_linear(np.column_stack(ratio_arrays(rows.x, rows.prime_count)))
+    assert (fit.slope, fit.intercept) == pytest.approx(FULL_SCALE_RATIO_FIT, rel=1e-9)
+
+    for x in np.random.default_rng(8).integers(2, 450_000, 3).tolist():
+        assert count_in_range_oracle(x) == rows[x - 2].prime_count, x
+
+
+def test_census_codec_round_trip(census_10k):
+    counts = np.array([r[2] for r in census_10k])
+    first_x, decoded = decode_counts(encode_counts(census_10k[0][0], counts))
+    assert first_x == 2 and np.array_equal(decoded, counts)
+    with pytest.raises(ValueError):
+        encode_counts(2, [0, 0, 2**15])
+    with pytest.raises(ValueError):
+        encode_counts(2, [5])

@@ -33,6 +33,19 @@ def test_pi_subcommand(capsys):
     assert out.strip() == "25"
 
 
+def test_pi_refuses_2_to_the_62_with_one_error_line(capsys):
+    code, out, err = run(capsys, "pi", str(2**62))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "2**62" in err
+    assert "Traceback" not in err
+
+
+def test_pi_help_states_the_domain(capsys):
+    with pytest.raises(SystemExit):
+        main(["pi", "--help"])
+    assert "N < 2**62" in capsys.readouterr().out
+
+
 def test_unknown_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["pi", "--bogus"])

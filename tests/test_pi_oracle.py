@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import isqrt
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from primecensus import RangeTooLargeError, count_in_range_oracle, pi_prefix, prime_pi
 from primecensus import pi_oracle
-from primecensus.pi_oracle import _CHUNK, _legendre_sweep, _small_dtype
+from primecensus.pi_oracle import _CHUNK, _legendre_sweep
 
 from pi_reference import legendre_sweep_reference, naive_pi_table
 
@@ -163,21 +164,20 @@ def test_small_half_is_int32_below_2_to_the_62():
     for n in (2, 10**6, 2**31, 10**12):
         small, large = _legendre_sweep(n)
         assert small.dtype == np.int32 and large.dtype == np.int64, n
-    assert _small_dtype(isqrt(2**62 - 1)) == np.int32
-    assert _small_dtype(isqrt(2**62)) == np.int64
-    assert _small_dtype(isqrt(2**63 - 1)) == np.int64
     assert pi_prefix(1000).dtype == np.int64
     assert pi_prefix(0).dtype == np.int64
-
-
-@pytest.mark.parametrize("n", [3000, 10**6 + 3, 99_991**2])
-def test_sweep_with_an_int64_small_half_matches_reference(monkeypatch, n):
-    # The int64 small half that n >= 2**62 takes, run where it is cheap.
-    monkeypatch.setattr(pi_oracle, "_small_dtype", lambda r: np.int64)
-    small, large = _legendre_sweep(n)
-    ref_small, ref_large = _reference_tables(n)
-    assert small.dtype == large.dtype == np.int64
-    assert np.array_equal(small, ref_small) and np.array_equal(large, ref_large)
+    # From n = 2**62 on, isqrt(n) >= 2**31 would not fit in int32: every
+    # entry point refuses such an n before it allocates anything.
+    pi_oracle._check_width(2**62 - 1)
+    tracemalloc.start()
+    try:
+        for call, arg in ((prime_pi, 2**62), (pi_prefix, 2**31), (count_in_range_oracle, 2**31)):
+            with pytest.raises(RangeTooLargeError, match=r"n < 2\*\*62"):
+                call(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, f"{peak} bytes allocated before the refusal"
 
 
 @pytest.mark.skipif(
