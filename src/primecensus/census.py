@@ -5,9 +5,9 @@ subtracting pi(x-1) turns that into the per-x range count.  pi(x-1) is a
 running count of the base sieve's flags: each segment's rows take one
 cumsum over their own x range, on top of the total carried from the rows
 before, so no pi table of the whole base is ever held.  Segments may be
-sieved concurrently, but results are always reduced in ascending order,
-so the emitted stream does not depend on the worker count or the segment
-length.
+sieved by forked workers, but results are always reduced in ascending
+order, so the emitted stream does not depend on the worker count or the
+segment length.
 
 The segment kernel is a pure function of (lo, rows, basis).  It sieves
 on a mod-30 wheel: lo is a multiple of 30, and a segment holds only the
@@ -59,11 +59,11 @@ at the first multiple of 30 past the limit, and the counts mask the
 values below the cursor and above the limit.  T follows the segment
 length and the pattern offset follows lo, so no state carries across
 segments and the output stays independent of how the range is cut.  A
-pool sweep keeps an in-order window of at most 4 * workers submitted
-segments and submits one more as each result is drawn.  The parent builds
-the basis once and hands it to every worker: under fork the workers share
-its pages, under spawn it is pickled.  A worker ends itself once its
-parent is gone, so a killed census leaves no worker behind.
+sweep with w workers forks w - 1 children, which share the basis's
+pages.  Child k sieves segments k, k + w, ... and writes their counts as
+raw int64 bytes to its own pipe, whose capacity bounds its run-ahead.  It
+dies at its next write once the census is gone (EPIPE), and one that
+ends early shows in the census as a short read, ChildProcessError.
 
 ``write_census_file`` is the one writer of census files.  Its crash rule:
 a census under its final name is complete, or a checkpoint on disk covers
@@ -76,8 +76,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
-import threading
-import time
+import signal
 from dataclasses import asdict, dataclass, fields
 from itertools import islice
 from math import isqrt, prod
@@ -286,36 +285,6 @@ def _segment_counts(lo, rows, ends, basis) -> np.ndarray:
     return counts
 
 
-_WORKER_BASIS = None
-
-
-def _init_segment_worker(basis):
-    """Keep the parent's basis, and end this worker once the parent is gone."""
-    global _WORKER_BASIS
-    _WORKER_BASIS = basis
-    parent = os.getppid()
-
-    def watch_parent():
-        while os.getppid() == parent:  # an orphan is re-parented, so its ppid changes
-            time.sleep(0.2)
-        os._exit(1)
-
-    threading.Thread(target=watch_parent, daemon=True).start()
-
-
-def _segment_job(task):
-    return _segment_counts(*task, _WORKER_BASIS)
-
-
-def _in_order(pool, tasks, window):
-    """_segment_job's results for ``tasks`` in order, at most ``window`` submitted ahead."""
-    pending = [pool.submit(_segment_job, task) for task in islice(tasks, window)]
-    while pending:
-        done = pending.pop(0)
-        pending.extend(pool.submit(_segment_job, task) for task in islice(tasks, 1))
-        yield done.result()
-
-
 def _segment_tasks(cursor: int, limit: int, start_x: int, n_max: int):
     """Yield (lo, rows, ends) segments covering the values cursor..limit.
 
@@ -373,7 +342,7 @@ def census_sweep(
     ``workers`` and DEFAULT_SEGMENT_LEN.  The arguments are checked and the
     base sieve is built when this is called, before the first record is
     drawn, so a refused range fails before a caller opens its output.
-    Closing the returned generator drops the sweep, which stops its pool.
+    Closing the returned generator drops the sweep, which kills its workers.
     """
     return (record for record, _ in _sweep_pairs(n_max, workers, start_x, cum_pi_start))
 
@@ -390,6 +359,8 @@ def _sweep_pairs(n_max, workers, start_x, cum_pi_start) -> Iterator[tuple[Census
         raise ValueError("resuming mid-sweep requires cum_pi_start = pi((start_x-1)**2)")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"workers={workers} needs os.fork, which this platform lacks; use 1")
     return _sweep(n_max, sieve_flags(n_max), workers, start_x, cum_pi_start)
 
 
@@ -400,23 +371,7 @@ def _sweep(n_max, flags, workers, start_x, cum_pi_start):
     pi_before = int(np.count_nonzero(flags[: start_x - 1]))  # pi(next_x - 2), carried row to row
     tasks = _segment_tasks(cursor, n_max * n_max, start_x, n_max)
     next_x = start_x
-    basis = _wheel_basis(flags)
-
-    pool = None
-    try:
-        if workers == 1:
-            results = (_segment_counts(*task, basis) for task in tasks)
-        else:
-            # Imported here: it loads multiprocessing, logging and queue, which
-            # a one-worker run never needs.
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_segment_worker,
-                initargs=(basis,),
-            )
-            results = _in_order(pool, tasks, 4 * workers)
+    with contextlib.closing(_segment_results(tasks, workers, _wheel_basis(flags))) as results:
         for counts in results:
             counts = counts[1:] - counts[0]  # from the cursor up to each square, then to the limit
             xs = np.arange(next_x, next_x + len(counts) - 1)
@@ -428,9 +383,45 @@ def _sweep(n_max, flags, workers, start_x, cum_pi_start):
             if len(xs):
                 pi_before = int(before[-1])
             wheel += int(counts[-1])
+
+
+def _segment_results(tasks, workers, basis):
+    """_segment_counts for each of ``tasks``, in order: task i is sieved
+    here when i % workers == 0, else by forked child i % workers (module
+    docstring).  Every child is killed and reaped on the way out."""
+    children = []  # (pid, read end of its pipe) of child k at children[k - 1]
+    try:
+        for k in range(1, workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:  # never leave this frame: os._exit flushes none of the parent's open files
+                    os.close(read_end)
+                    for _, pipe in children:
+                        pipe.close()
+                    with open(write_end, "wb") as pipe:
+                        for task in islice(tasks, k, None, workers):
+                            pipe.write(_segment_counts(*task, basis))
+                            pipe.flush()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        for i, (lo, rows, ends) in enumerate(tasks):
+            if i % workers == 0:
+                yield _segment_counts(lo, rows, ends, basis)
+                continue
+            pid, pipe = children[i % workers - 1]
+            data = pipe.read(8 * len(ends))
+            if len(data) < 8 * len(ends):
+                raise ChildProcessError(f"sieve worker {pid} ended before its segment at {lo}")
+            yield np.frombuffer(data, dtype=np.int64)
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -584,19 +575,23 @@ def run_census(
     """Sweep to n_max, writing census CSV rows and periodic checkpoints.
 
     Returns the number of rows written by this invocation.  With
-    ``resume=True`` the existing file is digest-validated, trimmed back to
-    the checkpointed row, and extended; the concatenation is byte-identical
-    to an uninterrupted run.  ``stop_after`` completes the given x, writes
-    a checkpoint, and returns early (a clean interruption).  The file is
+    ``resume=True`` the file, or its ``.partial`` when it is missing, is
+    digest-validated, renamed to ``out_path``, trimmed back to the
+    checkpointed row and extended; the concatenation is byte-identical to
+    an uninterrupted run.  ``stop_after`` completes the given x, writes a
+    checkpoint, and returns early (a clean interruption).  The file is
     written by ``write_census_file``, under its crash rule.
     """
     start_x, cum_pi_start, resume_from = 2, None, None
     if resume:
         if checkpoint_path is None:
             raise CheckpointError("resume requires a checkpoint path")
-        checkpoint, resume_from = _validated_resume(checkpoint_path, out_path)
+        partial = f"{out_path}.partial"
+        source = partial if os.path.exists(partial) and not os.path.exists(out_path) else out_path
+        checkpoint, resume_from = _validated_resume(checkpoint_path, source)
         if n_max is not None and n_max != checkpoint.n_max:
             raise CheckpointError(f"checkpoint is for n_max={checkpoint.n_max}, not n_max={n_max}")
+        os.replace(source, out_path)  # validated, so the checkpoint covers it under its final name
         n_max = checkpoint.n_max
         start_x = checkpoint.last_completed_x + 1
         cum_pi_start = checkpoint.cumulative_pi_at_square

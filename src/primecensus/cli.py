@@ -1,7 +1,7 @@
 """Command-line front end: census, pi, evaluate, fit, matches, verify, plot.
 
-Exit codes: 0 success, 1 validation or domain error, 2 I/O error,
-3 checkpoint/digest integrity error.
+Exit codes: 0 success, 1 validation or domain error, 2 I/O error or a
+dead sieve worker, 3 checkpoint/digest integrity error, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_INTEGRITY = 3
+EXIT_INTERRUPTED = 130
 
 
 def format_percent(fraction: float) -> str:
@@ -349,6 +350,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entry_point() -> None:

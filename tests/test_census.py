@@ -1,6 +1,5 @@
 import contextlib
 import hashlib
-import multiprocessing
 import os
 import random
 import signal
@@ -335,8 +334,8 @@ def test_sweep_independent_of_segment_len_at_full_scale_offsets():
 
 
 def test_pool_draws_a_bounded_window_of_tasks(monkeypatch):
-    """The pool sweep submits at most 4 * workers segments ahead of the one
-    it reduces, and closing the sweep stops its workers."""
+    """The census process draws segments only as it reduces them, and
+    closing the sweep kills and reaps its workers."""
     drawn = [0]
     segment_tasks = census._segment_tasks
 
@@ -352,7 +351,8 @@ def test_pool_draws_a_bounded_window_of_tasks(monkeypatch):
     assert next(stream) == (2, 4, 2)
     assert 0 < drawn[0] <= 4 * workers + 1
     stream.close()
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child of this process is left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_at_1e7_holds_no_pi_table_of_the_base():
@@ -382,7 +382,7 @@ def _running(pid):
 )
 def test_pool_workers_exit_when_the_census_is_killed(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(census.__file__).resolve().parents[1])}
-    argv = [sys.executable, "-m", "primecensus.cli", "census", "--max-x", "40000", "--workers", "2"]
+    argv = [sys.executable, "-m", "primecensus.cli", "census", "--max-x", "40000", "--workers", "3"]
     parent = subprocess.Popen(
         [*argv, "--out", str(tmp_path / "rows.csv")], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
     )
@@ -470,6 +470,40 @@ def test_kill_matrix_leaves_no_worker_and_a_resumable_census(tmp_path):
                     os.kill(pid, signal.SIGKILL)
             parent.kill()
             parent.wait()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc to list a process's children")
+def test_a_dead_worker_or_an_interrupt_ends_the_census_with_one_line(tmp_path):
+    """The CLI's exit-code contract: a sieve worker killed mid-run exits 2
+    with one ``i/o error:`` line, SIGINT exits 130 with one line, and both
+    leave a census that resumes byte-identical."""
+    reference = tmp_path / "reference.csv"
+    run_census(_KILL_MAX_X, reference)
+    env = {**os.environ, "PYTHONPATH": str(Path(census.__file__).resolve().parents[1])}
+    cases = [("worker", signal.SIGKILL, 2, "i/o error: sieve worker "), ("parent", signal.SIGINT, 130, "interrupted")]
+    for i, (whom, signum, code, message) in enumerate(cases):
+        out, ck = tmp_path / f"{i}.csv", tmp_path / f"{i}.ck"
+        argv = [sys.executable, "-m", "primecensus.cli", "census", "--out", str(out), "--checkpoint", str(ck)]
+        parent = subprocess.Popen([*argv, "--max-x", str(_KILL_MAX_X), "--workers", "2"],
+                                  env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 30
+            while not out.exists():
+                assert parent.poll() is None, f"{whom}: the census ended before its first checkpoint"
+                assert time.monotonic() < deadline, f"{whom}: no checkpoint within 30 s"
+                time.sleep(0.002)
+            (worker,) = map(int, Path(f"/proc/{parent.pid}/task/{parent.pid}/children").read_text().split())
+            os.kill(worker if whom == "worker" else parent.pid, signum)
+            _, err = parent.communicate(timeout=30)
+            assert parent.returncode == code, err
+            lines = err.decode().splitlines()
+            assert len(lines) == 1 and lines[0].startswith(message), lines
+            done = subprocess.run([*argv, "--resume"], env=env, capture_output=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            assert out.read_bytes() == reference.read_bytes(), whom
+        finally:
+            parent.kill()
+            parent.communicate()  # reaps it and closes its stderr pipe
 
 
 def test_sweep_independent_of_workers():
@@ -707,6 +741,37 @@ def test_resume_after_write_failure_completes(tmp_path, monkeypatch):
     assert out.read_bytes() == reference.read_bytes()
 
 
+def test_resume_from_the_partial_left_before_the_first_rename(tmp_path, monkeypatch):
+    """A run stopped between its first checkpoint and the rename of
+    <out>.partial leaves only <out>.partial: --resume validates it, takes
+    the final name and completes it byte-identical, and refuses it damaged."""
+    real_replace = os.replace
+
+    def crash_on_rename(src, dst):
+        if str(src).endswith(".partial"):
+            raise OSError("simulated crash before the rename")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash_on_rename)
+    out, ck = tmp_path / "rows.csv", tmp_path / "ck"
+    with pytest.raises(OSError, match="simulated"):
+        run_census(3000, out, checkpoint_path=ck)
+    monkeypatch.setattr(os, "replace", real_replace)
+    partial = Path(f"{out}.partial")
+    assert not out.exists() and read_checkpoint(ck).last_completed_x == 1000
+    good = partial.read_bytes()
+    partial.write_bytes(good.replace(b"\n500,250000,", b"\n500,250001,"))
+    with pytest.raises(CheckpointIntegrityError):
+        run_census(None, out, checkpoint_path=ck, resume=True)
+    assert not out.exists()
+    partial.write_bytes(good)
+    assert run_census(None, out, checkpoint_path=ck, resume=True) == 2000
+    assert not partial.exists()
+    reference = tmp_path / "ref.csv"
+    run_census(3000, reference)
+    assert out.read_bytes() == reference.read_bytes()
+
+
 @pytest.mark.parametrize("via", ["run_census", "cli"])
 def test_interrupted_run_without_checkpoint_keeps_the_partial_name(tmp_path, monkeypatch, via):
     """Ctrl-C mid-run: the short census never takes the final name."""
@@ -719,10 +784,10 @@ def test_interrupted_run_without_checkpoint_keeps_the_partial_name(tmp_path, mon
 
     monkeypatch.setattr(census, "encode_census_row", interrupt_at_1500)
     out = tmp_path / "rows.csv"
-    with pytest.raises(KeyboardInterrupt):
-        if via == "cli":
-            main(["census", "--max-x", "3000", "--out", str(out)])
-        else:
+    if via == "cli":
+        assert main(["census", "--max-x", "3000", "--out", str(out)]) == 130
+    else:
+        with pytest.raises(KeyboardInterrupt):
             run_census(3000, out)
     assert not out.exists()
     assert (tmp_path / "rows.csv.partial").exists()
@@ -736,4 +801,5 @@ def test_failed_run_stops_its_pool(tmp_path, monkeypatch):
     with pytest.raises(OSError) as failure:
         run_census(3000, tmp_path / "rows.csv", checkpoint_path=tmp_path / "ck", workers=2)
     # ``failure`` still holds the traceback, and with it run_census's frame.
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # no child of this process is left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)

@@ -541,14 +541,27 @@ def test_importing_the_cli_builds_no_formatter_table():
 
 
 def test_importing_the_cli_loads_no_network_or_process_pool_modules():
-    # html.escape, not xml.sax.saxutils, escapes SVG text, the census
-    # imports its process pool only when it starts one, and hashlib (which
-    # maps OpenSSL) only when it writes or resumes a census file.
+    # html.escape, not xml.sax.saxutils, escapes SVG text, the census has
+    # no process pool, and hashlib (which maps OpenSSL) is imported only
+    # when a census file is written or resumed.
     heavy = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "socket")
     heavy += ("concurrent.futures", "multiprocessing", "logging", "hashlib")
     code = (
         "import sys, numpy; base = set(sys.modules); import primecensus.cli; "
         f"print(sorted(m for m in set(sys.modules) - base if any(m == h or m.startswith(h + '.') for h in {heavy!r})))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(storage.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_a_two_worker_sweep_loads_no_process_pool_modules():
+    # Sieve workers are forked children on pipes: no executor, queue or logging.
+    heavy = ("concurrent.futures", "multiprocessing", "logging", "queue")
+    code = (
+        "import sys; from primecensus import census; census.DEFAULT_SEGMENT_LEN = 1 << 20; "
+        "assert len(list(census.census_sweep(3000, workers=2))) == 2999; "
+        f"print(sorted(m for m in sys.modules if any(m == h or m.startswith(h + '.') for h in {heavy!r})))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(storage.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
