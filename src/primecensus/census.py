@@ -1,13 +1,14 @@
 """Checkpointed, parallel segmented-sieve census of primes in [x, x**2].
 
-One cumulative pass over 2..n_max**2 records pi at every square boundary;
-subtracting pi(x-1) turns that into the per-x range count.  pi(x-1) is a
-running count of the base sieve's flags: each segment's rows take one
-cumsum over their own x range, on top of the total carried from the rows
-before, so no pi table of the whole base is ever held.  Segments may be
-sieved by forked workers, but results are always reduced in ascending
-order, so the emitted stream does not depend on the worker count or the
-segment length.
+One pass from a cursor counts the primes in [cursor, s] at each stop s of
+an ascending int64 array, segment by segment (``_counts_at``).  The census
+takes the squares as stops and adds pi(cursor - 1) for pi(x**2), less
+pi(x-1) for the per-x range count.  pi(x-1) is a running count of the
+base sieve's flags, carried row to row, so no pi table of the whole base
+is ever held.  ``count_in_range(x)`` is the one stop x**2 from cursor x.
+Segments may be sieved by forked workers, but results are always reduced
+in ascending order, so the output does not depend on the worker count or
+the segment length.
 
 The segment kernel is a pure function of (lo, rows, basis).  It sieves
 on a mod-30 wheel: lo is a multiple of 30, and a segment holds only the
@@ -47,16 +48,16 @@ bytes, and each is marked in four steps:
   Wheel, pattern and buckets are the standard devices of segmented
   sieves (T. Oliveira e Silva, 2001; K. Walisch, primesieve).
 
-Each class's counts at the segment's square boundaries come from one
-vectorised pass: the buffer read as 64-bit words, 8 slots each, their
-popcounts summed between boundaries by ``np.add.reduceat``.
+Each class's counts at the segment's stops come from one vectorised
+pass: the buffer read as 64-bit words, 8 slots each, their popcounts
+summed between stops by ``np.add.reduceat``.
 
 Segments start at the multiple of 30 at or below the sweep's cursor and
 are DEFAULT_SEGMENT_LEN = 2**25 numbers, rounded down to a multiple of
 30: 1,118,481 rows, a 1.1 MB class buffer beside a 256 KB workspace of
 hit indices, within a 2 MB per-core L2.  The last segment is clipped to end
-at the first multiple of 30 past the limit, and the counts mask the
-values below the cursor and above the limit.  T follows the segment
+at the first multiple of 30 past the last stop, and the counts mask the
+values below the cursor and above the last stop.  T follows the segment
 length and the pattern offset follows lo, so no state carries across
 segments and the output stays independent of how the range is cut.  A
 sweep with w workers forks w - 1 children, which share the basis's
@@ -91,7 +92,7 @@ from .errors import (
     DomainError,
     RangeTooLargeError,
 )
-from .pi_oracle import MAX_SQUARE_BASE
+from .pi_oracle import MAX_SQUARE_BASE, prime_pi
 
 DEFAULT_SEGMENT_LEN = 1 << 25  # numbers per segment, rounded down to a multiple of 30
 CHECKPOINT_EVERY = 1000  # x values between the checkpoints of a census file
@@ -285,33 +286,42 @@ def _segment_counts(lo, rows, ends, basis) -> np.ndarray:
     return counts
 
 
-def _segment_tasks(cursor: int, limit: int, start_x: int, n_max: int):
-    """Yield (lo, rows, ends) segments covering the values cursor..limit.
-
-    lo is a multiple of 30 and a segment holds 30 * rows values, the last
-    one clipped to end at the first multiple of 30 past ``limit``.  ``ends``
-    is [cursor - 1, every square x*x inside the segment for x = start_x..
-    n_max, limit], so the counts at ends[0] and ends[-1] mask the values
-    below the cursor and above the limit.
-    """
+def _segment_tasks(cursor: int, stops: np.ndarray):
+    """Yield (lo, rows, ends) segments covering cursor..stops[-1], none
+    when the ascending int64 ``stops`` is empty.  lo is a multiple of 30
+    and a segment holds 30 * rows values, the last one clipped to end at
+    the first multiple of 30 past the last stop.  ``ends`` is [cursor - 1,
+    the stops inside the segment, the last stop]: the counts at its first
+    and last mask the values below the cursor and above the last stop."""
     rows = max(1, DEFAULT_SEGMENT_LEN // _WHEEL)
     lo = cursor - cursor % _WHEEL
-    x = start_x
+    limit = int(stops[-1]) if len(stops) else lo - 1
+    first = 0
     while lo <= limit:
         n = min(rows, (limit - lo) // _WHEEL + 1)
         hi = lo + _WHEEL * n
-        ends = [cursor - 1]
-        while x <= n_max and x * x < hi:
-            ends.append(x * x)
-            x += 1
-        ends.append(limit)
-        yield lo, n, ends
-        lo = hi
+        last = int(np.searchsorted(stops, hi))
+        yield lo, n, np.concatenate(([cursor - 1], stops[first:last], [limit]))
+        first, lo = last, hi
 
 
-def _pi_below_7(v: int) -> int:
-    """pi(v) for v < 7; for larger v, the count of 2, 3 and 5, which no wheel row holds."""
-    return (v >= 2) + (v >= 3) + (v >= 5)
+def _pi_below_7(v):
+    """pi(v), elementwise, for v < 7; above, the count of 2, 3 and 5, which no wheel row holds."""
+    return np.searchsorted((2, 3, 5), v, side="right")
+
+
+def _counts_at(cursor, stops, workers, basis) -> Iterator[np.ndarray]:
+    """Yield, segment by segment, the number of primes in [cursor, s] for each
+    stop s >= cursor - 1 of the ascending int64 ``stops`` that the segment holds."""
+    carried = -int(_pi_below_7(cursor - 1))  # wheel-row primes in [cursor, lo), less the 2, 3 and 5 below the cursor
+    done = 0  # stops yielded so far
+    with contextlib.closing(_segment_results(_segment_tasks(cursor, stops), workers, basis)) as results:
+        for counts in results:
+            counts = counts[1:] - counts[0]  # from the cursor up to each stop, then to the last
+            inside = stops[done : done + len(counts) - 1]
+            yield carried + counts[:-1] + _pi_below_7(inside)
+            done += len(inside)
+            carried += int(counts[-1])
 
 
 def count_in_range(x: int) -> int:
@@ -320,12 +330,8 @@ def count_in_range(x: int) -> int:
         raise ValueError("x must be positive")
     if x > MAX_SQUARE_BASE:
         raise RangeTooLargeError(f"x={x}: x**2 exceeds the 64-bit guard")
-    basis = _wheel_basis(sieve_flags(x))
-    count = _pi_below_7(x * x) - _pi_below_7(x - 1)
-    for lo, rows, ends in _segment_tasks(x, x * x, 1, 0):  # no square boundaries
-        below_x, upto_square = _segment_counts(lo, rows, ends, basis)
-        count += int(upto_square - below_x)
-    return count
+    *_, (count,) = _counts_at(x, np.array([x * x], dtype=np.int64), 1, _wheel_basis(sieve_flags(x)))
+    return int(count)
 
 
 def census_sweep(
@@ -366,23 +372,17 @@ def _sweep_pairs(n_max, workers, start_x, cum_pi_start) -> Iterator[tuple[Census
 
 def _sweep(n_max, flags, workers, start_x, cum_pi_start):
     cursor = (start_x - 1) ** 2 + 1
-    # Primes of the wheel rows below the cursor: all of pi(cursor - 1) but 2, 3 and 5.
-    wheel = (0 if start_x == 2 else int(cum_pi_start)) - _pi_below_7(cursor - 1)
-    pi_before = int(np.count_nonzero(flags[: start_x - 1]))  # pi(next_x - 2), carried row to row
-    tasks = _segment_tasks(cursor, n_max * n_max, start_x, n_max)
-    next_x = start_x
-    with contextlib.closing(_segment_results(tasks, workers, _wheel_basis(flags))) as results:
+    pi_cursor = 0 if start_x == 2 else int(cum_pi_start)  # pi(cursor - 1)
+    x = start_x - 1  # the last x yielded
+    pi_x1 = int(np.count_nonzero(flags[:x]))  # pi(x - 1), carried row to row
+    squares = np.arange(start_x, n_max + 1, dtype=np.int64)
+    squares *= squares  # in place: a temporary copy would add to the peak RSS
+    with contextlib.closing(_counts_at(cursor, squares, workers, _wheel_basis(flags))) as results:
         for counts in results:
-            counts = counts[1:] - counts[0]  # from the cursor up to each square, then to the limit
-            xs = np.arange(next_x, next_x + len(counts) - 1)
-            pis = wheel + counts[:-1] + 3 - (xs == 2)  # 2, 3 and 5 lie below every square but 4
-            before = pi_before + np.cumsum(flags[next_x - 1 : next_x - 1 + len(xs)], dtype=np.int64)  # pi(x - 1)
-            for x, pi_x2, pi_x1 in zip(xs.tolist(), pis.tolist(), before.tolist()):
+            before = pi_x1 + np.cumsum(flags[x : x + len(counts)], dtype=np.int64)  # pi(x - 1) of each row
+            for pi_x2, pi_x1 in zip((pi_cursor + counts).tolist(), before.tolist()):
+                x += 1
                 yield CensusRecord(x, x * x, pi_x2 - pi_x1), pi_x2
-            next_x += len(xs)
-            if len(xs):
-                pi_before = int(before[-1])
-            wheel += int(counts[-1])
 
 
 def _segment_results(tasks, workers, basis):
@@ -487,7 +487,8 @@ def _validated_resume(checkpoint_path, path):
     rows x=2..last_completed_x, and the byte offset just past the last of
     them.  One pass, with memory in proportion to the file: it is read
     whole and the covered rows are hashed in one call, so the digest fails
-    on any edited, missing or reordered row.  Raises
+    on any edited, missing or reordered row.  The digest leaves out the
+    checkpoint's pi, so that is checked against prime_pi.  Raises
     CheckpointIntegrityError on a wrong header, too few rows or a mismatch.
     """
     import hashlib  # here, not at the top: it maps OpenSSL, which only the census writer needs
@@ -504,6 +505,11 @@ def _validated_resume(checkpoint_path, path):
     hasher = hashlib.sha256(memoryview(data)[ends[0] + 1 : keep_offset])
     if hasher.hexdigest() != checkpoint.digest:
         raise CheckpointIntegrityError(f"{path}: rows do not match the checkpoint digest; refusing to resume")
+    pi_square = prime_pi(checkpoint.last_completed_x**2)
+    if checkpoint.cumulative_pi_at_square != pi_square:
+        raise CheckpointIntegrityError(
+            f"{checkpoint_path}: cumulative_pi_at_square={checkpoint.cumulative_pi_at_square}, but "
+            f"pi({checkpoint.last_completed_x}**2) = {pi_square}; refusing to resume")
     return checkpoint, (hasher, keep_offset)
 
 

@@ -101,12 +101,16 @@ def _cmd_census(args) -> int:
         if args.checkpoint is not None:
             raise ValueError("--checkpoint needs --out (stdout cannot be resumed)")
         sweep = census_mod.census_sweep(args.max_x, workers=args.workers)
-        sys.stdout.write(census_mod.CENSUS_HEADER + "\n")
-        with contextlib.closing(sweep):
-            for record in sweep:
-                sys.stdout.write(census_mod.encode_census_row(record).decode("ascii"))
-                if args.stop_after is not None and record.x >= args.stop_after:
-                    break
+        try:
+            sys.stdout.write(census_mod.CENSUS_HEADER + "\n")
+            with contextlib.closing(sweep):
+                for record in sweep:
+                    sys.stdout.write(census_mod.encode_census_row(record).decode("ascii"))
+                    if args.stop_after is not None and record.x >= args.stop_after:
+                        break
+            sys.stdout.flush()
+        except BrokenPipeError:  # a reader that stops early, as `| head` does, ends the census normally
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot fail
         return EXIT_OK
     written = census_mod.run_census(
         args.max_x,

@@ -30,6 +30,7 @@ from primecensus import (
 )
 from primecensus.census import DEFAULT_SEGMENT_LEN, SweepCheckpoint, sieve_flags
 from primecensus.cli import main
+from pi_reference import naive_pi_table
 
 # Left column of the published sample table: x -> primes in [x, x**2].
 SMALL_TABLE = {
@@ -49,6 +50,35 @@ def test_count_in_range_guard():
         count_in_range(3_037_000_500)
     with pytest.raises(ValueError):
         count_in_range(0)
+
+
+@pytest.mark.parametrize("segment_len, x_max", [(1 << 12, 1500), (3 * (1 << 20) + 2, 20_000)])
+def test_count_in_range_across_many_segments(monkeypatch, segment_len, x_max):
+    """count_in_range over hundreds of segments, 4,096 numbers long or of
+    a length that is no multiple of 30, agrees with the oracle.  2**12
+    stops at x = 1,500, about 550 segments: 20,000 would take a minute."""
+    monkeypatch.setattr(census, "DEFAULT_SEGMENT_LEN", segment_len)
+    for x in [x_max, *random.Random(20261022).sample(range(2, x_max), 4)]:
+        assert count_in_range(x) == count_in_range_oracle(x), x
+
+
+@pytest.mark.parametrize("segment_len", [1 << 12, 3 * (1 << 20) + 2, DEFAULT_SEGMENT_LEN])
+def test_counts_at_stops_that_are_not_squares(monkeypatch, segment_len):
+    """The engine counts the primes in [cursor, s] at every stop s of
+    x(x - 1) and x**2 for x <= 3,000, from cursors that are no multiple of
+    30, as a plain sieve does; and each Oppermann half-interval,
+    (x(x - 1), x**2] and (x**2, x(x + 1)], holds a prime."""
+    monkeypatch.setattr(census, "DEFAULT_SEGMENT_LEN", segment_len)
+    xs = np.arange(2, 3001, dtype=np.int64)
+    stops = np.column_stack((xs * (xs - 1), xs * xs)).ravel()
+    pi = naive_pi_table(int(stops[-1]))
+    basis = census._wheel_basis(sieve_flags(3000))
+    for cursor, workers in ((1, 1), (19, 2), (4_500_013, 2)):
+        inside = stops[stops >= cursor - 1]
+        counts = np.concatenate(list(census._counts_at(cursor, inside, workers, basis)))
+        assert np.array_equal(counts, pi[inside] - pi[cursor - 1]), cursor
+        if cursor == 1:
+            assert np.diff(counts).min() >= 1
 
 
 def test_sweep_single_record():
@@ -506,6 +536,31 @@ def test_a_dead_worker_or_an_interrupt_ends_the_census_with_one_line(tmp_path):
             parent.communicate()  # reaps it and closes its stderr pipe
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc to list a process's children")
+def test_a_closed_stdout_ends_the_census_normally():
+    """A reader that stops early, as ``census | head -1`` does, ends the
+    census with exit 0, nothing on stderr and its sieve worker reaped."""
+    env = {**os.environ, "PYTHONPATH": str(Path(census.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "primecensus.cli", "census", "--max-x", "20000", "--workers", "2"]
+    parent = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    children = []
+    try:
+        assert parent.stdout.readline() == b"x,x_squared,prime_count\n"
+        while not parent.stdout.readline().startswith(b"1000,"):  # rows come after the worker is forked
+            pass
+        children = [int(pid) for pid in Path(f"/proc/{parent.pid}/task/{parent.pid}/children").read_text().split()]
+        parent.stdout.close()  # the census has over 400 KB left to write, more than the pipe holds
+        _, err = parent.communicate(timeout=60)
+        assert (parent.returncode, err) == (0, b"")
+        assert children and not any(map(_running, children))
+    finally:
+        for pid in filter(_running, children):
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        parent.kill()
+        parent.communicate()
+
+
 def test_sweep_independent_of_workers():
     baseline = sweep_at(4096, 300)
     for workers in (2, 4, 8):
@@ -633,6 +688,24 @@ def test_resume_with_tampered_digest_raises(tmp_path):
     ck.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointIntegrityError):
         run_census(None, out, checkpoint_path=ck, resume=True)
+
+
+def test_resume_refuses_a_checkpoint_with_a_wrong_pi(tmp_path, capsys):
+    """The digest covers the rows, not the checkpoint's pi: a pi one too
+    high is refused with exit 3 and one line, and the file is untouched.
+    Trusted, it would make every later row one too high."""
+    out, ck = tmp_path / "rows.csv", tmp_path / "ck"
+    argv = ["census", "--out", str(out), "--checkpoint", str(ck)]
+    assert main([*argv, "--max-x", "5000", "--stop-after", "2000"]) == 0
+    text = ck.read_text()
+    assert "cumulative_pi_at_square=283146\n" in text
+    ck.write_text(text.replace("cumulative_pi_at_square=283146\n", "cumulative_pi_at_square=283147\n"))
+    rows = out.read_bytes()
+    capsys.readouterr()
+    assert main([*argv, "--resume"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("integrity error:") and "283147" in lines[0], lines
+    assert out.read_bytes() == rows
 
 
 def test_resume_with_edited_rows_raises(tmp_path):
